@@ -1,9 +1,14 @@
-//! Benchmarks of the batch-scheduling substrate: EASY backfill passes,
+//! Benchmarks of the batch-scheduling substrate: EASY backfill passes (the
+//! from-scratch reference and the release-ledger path a cluster runs),
 //! availability-profile queries, and a full simulated cluster-day.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use aimes_cluster::policy::{select_starts, QueuedJobView, RunningJobView};
+use std::collections::BTreeMap;
+
+use aimes_cluster::policy::{
+    select_starts, select_starts_from_ledger, QueuedJobView, RunningJobView,
+};
 use aimes_cluster::{AvailabilityProfile, Cluster, ClusterConfig, JobId, SchedulingPolicy};
 use aimes_sim::{SimDuration, SimRng, SimTime, Simulation, Tracer};
 use aimes_workload::WorkloadConfig;
@@ -43,6 +48,39 @@ fn bench_backfill_pass(c: &mut Criterion) {
                     &running,
                     &queued,
                 ))
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The same states as `backfill_pass`, through the dispatch path: the
+/// running set as a release ledger, and the profile and starts buffers
+/// reused across passes as a cluster reuses them.
+fn bench_backfill_pass_ledger(c: &mut Criterion) {
+    let mut group = c.benchmark_group("backfill_pass_ledger");
+    for depth in [32usize, 256, 1024] {
+        let mut rng = SimRng::new(11);
+        let (running, queued) = mk_state(&mut rng, 128, depth);
+        let mut ledger: BTreeMap<SimTime, u32> = BTreeMap::new();
+        for r in &running {
+            *ledger.entry(r.deadline).or_default() += r.cores;
+        }
+        let mut profile = AvailabilityProfile::from_sorted(SimTime::ZERO, 0, []);
+        let mut starts = Vec::new();
+        group.bench_with_input(BenchmarkId::new("queue_depth", depth), &depth, |b, _| {
+            b.iter(|| {
+                starts.clear();
+                select_starts_from_ledger(
+                    SchedulingPolicy::EasyBackfill,
+                    SimTime::from_secs(5.0),
+                    black_box(100),
+                    &ledger,
+                    &queued,
+                    &mut profile,
+                    &mut starts,
+                );
+                black_box(starts.len())
             })
         });
     }
@@ -91,6 +129,7 @@ fn bench_cluster_day(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_backfill_pass,
+    bench_backfill_pass_ledger,
     bench_profile_earliest_fit,
     bench_cluster_day
 );

@@ -127,8 +127,36 @@ struct Options {
     profile_out: Option<std::path::PathBuf>,
 }
 
+const USAGE: &str = "commands: table1 | fig2 | fig3 | fig4 | ablation-pilots | \
+     ablation-sched | ablation-select | ablation-data | \
+     ablation-crossover | ablation-throughput | ablation-hetero | \n\
+     ablation-adaptive | ablation-walltime | ablation-queue | \n\
+     ablation-predictor | ablation-faults | ablation-detection | \n\
+     ablation-info | ablation-cascade | telemetry | profile | journal | analyze | \n\
+     analytics-diff | campaign-report | all\n\
+     flags: --reps N --seed S --quick --jobs N --fail-on-error \
+     --emit-metrics DIR --trace-out PATH --dump-dir DIR --help\n\
+     campaign flags: --campaign-out PATH --campaign-timing --progress \
+     --profile-out PATH\n\
+     journal flags: --scenario exp1|exp4|faulty --out PATH\n\
+     analyze: <journal.jsonl> --epsilon E --out report.json\n\
+     analytics-diff: <run-a> <run-b> --threshold T\n\
+     campaign-report: <campaign.jsonl>";
+
+/// A bad command line is the caller's mistake, not a crash: one `error:`
+/// line on stderr and exit status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, not {value:?}")))
+}
+
 fn parse_args() -> (String, Options) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = String::from("help");
     let mut opts = Options {
         reps: aimes_bench::DEFAULT_REPETITIONS,
@@ -149,61 +177,33 @@ fn parse_args() -> (String, Options) {
         progress: false,
         profile_out: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--reps" => {
-                i += 1;
-                opts.reps = args[i].parse().expect("--reps takes a number");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} takes a value")))
+        };
+        match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0);
             }
-            "--seed" => {
-                i += 1;
-                opts.seed = args[i].parse().expect("--seed takes a number");
-            }
+            "--reps" => opts.reps = number(&arg, &value()),
+            "--seed" => opts.seed = number(&arg, &value()),
             "--quick" => opts.quick = true,
             "--fail-on-error" => opts.fail_on_error = true,
-            "--emit-metrics" => {
-                i += 1;
-                opts.emit_metrics = Some(args[i].clone().into());
-            }
-            "--trace-out" => {
-                i += 1;
-                opts.trace_out = Some(args[i].clone().into());
-            }
-            "--scenario" => {
-                i += 1;
-                opts.scenario = args[i].clone();
-            }
-            "--out" => {
-                i += 1;
-                opts.out = Some(args[i].clone().into());
-            }
-            "--epsilon" => {
-                i += 1;
-                opts.epsilon = args[i].parse().expect("--epsilon takes a number");
-            }
-            "--threshold" => {
-                i += 1;
-                opts.threshold = args[i].parse().expect("--threshold takes a number");
-            }
-            "--dump-dir" => {
-                i += 1;
-                opts.dump_dir = Some(args[i].clone().into());
-            }
-            "--jobs" => {
-                i += 1;
-                opts.jobs = Some(args[i].parse().expect("--jobs takes a number"));
-            }
-            "--campaign-out" => {
-                i += 1;
-                opts.campaign_out = Some(args[i].clone().into());
-            }
+            "--emit-metrics" => opts.emit_metrics = Some(value().into()),
+            "--trace-out" => opts.trace_out = Some(value().into()),
+            "--scenario" => opts.scenario = value(),
+            "--out" => opts.out = Some(value().into()),
+            "--epsilon" => opts.epsilon = number(&arg, &value()),
+            "--threshold" => opts.threshold = number(&arg, &value()),
+            "--dump-dir" => opts.dump_dir = Some(value().into()),
+            "--jobs" => opts.jobs = Some(number(&arg, &value())),
+            "--campaign-out" => opts.campaign_out = Some(value().into()),
             "--campaign-timing" => opts.campaign_timing = true,
             "--progress" => opts.progress = true,
-            "--profile-out" => {
-                i += 1;
-                opts.profile_out = Some(args[i].clone().into());
-            }
+            "--profile-out" => opts.profile_out = Some(value().into()),
             c if !c.starts_with("--") => {
                 if command == "help" {
                     command = c.to_string();
@@ -211,9 +211,8 @@ fn parse_args() -> (String, Options) {
                     opts.files.push(c.into());
                 }
             }
-            other => panic!("unknown flag {other}"),
+            other => usage_error(&format!("unknown flag {other}")),
         }
-        i += 1;
     }
     if opts.quick {
         opts.reps = opts.reps.min(3);
@@ -2669,24 +2668,10 @@ fn main() {
             ablation_info(&opts);
             ablation_cascade(&opts);
         }
-        _ => {
-            println!(
-                "commands: table1 | fig2 | fig3 | fig4 | ablation-pilots | \
-                 ablation-sched | ablation-select | ablation-data | \
-                 ablation-crossover | ablation-throughput | ablation-hetero | \n\
-                 ablation-adaptive | ablation-walltime | ablation-queue | \n\
-                 ablation-predictor | ablation-faults | ablation-detection | \n\
-                 ablation-info | ablation-cascade | telemetry | profile | journal | analyze | \n\
-                 analytics-diff | campaign-report | all\n\
-                 flags: --reps N --seed S --quick --jobs N --fail-on-error \
-                 --emit-metrics DIR --trace-out PATH --dump-dir DIR\n\
-                 campaign flags: --campaign-out PATH --campaign-timing --progress \
-                 --profile-out PATH\n\
-                 journal flags: --scenario exp1|exp4|faulty --out PATH\n\
-                 analyze: <journal.jsonl> --epsilon E --out report.json\n\
-                 analytics-diff: <run-a> <run-b> --threshold T\n\
-                 campaign-report: <campaign.jsonl>"
-            );
+        "help" => println!("{USAGE}"),
+        other => {
+            eprintln!("error: unknown command {other}\n{USAGE}");
+            std::process::exit(2);
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   queue composition, start-time estimation, wait history).
 
 use crate::job::{Job, JobId, JobOwner, JobRequest, JobState};
-use crate::policy::{select_starts, QueuedJobView, RunningJobView, SchedulingPolicy};
+use crate::policy::{select_starts_from_ledger, QueuedJobView, SchedulingPolicy};
 use crate::profile::AvailabilityProfile;
 use aimes_sim::{EventId, JobPhase, ResourcePhase, SimDuration, SimTime, Simulation, TraceKind};
 use aimes_workload::{BackgroundWorkload, WorkloadConfig};
@@ -152,7 +152,7 @@ pub struct WaitRecord {
 /// Ordering key of a queued job: descending queue priority, then FIFO
 /// (ascending [`JobId`]) within a priority class — exactly the scheduler's
 /// queue order, so BTreeMap iteration *is* the queue and removal by key is
-/// O(log Q) instead of the former O(Q) `Vec::retain`.
+/// O(log Q).
 type QueueKey = (Reverse<i32>, u64);
 
 /// Memoized `estimate_wait` state: the queue-replay availability profile
@@ -168,14 +168,22 @@ struct EstCache {
 
 struct ClusterState {
     config: ClusterConfig,
-    jobs: HashMap<JobId, Job>,
-    /// Queued jobs in scheduler order (see [`QueueKey`]).
-    queue: BTreeMap<QueueKey, JobId>,
+    /// Every job ever submitted, indexed by `JobId.0`: ids are dense from
+    /// zero and jobs are never removed.
+    jobs: Vec<Job>,
+    /// Queued jobs in scheduler order (see [`QueueKey`]), each with the
+    /// policy's view of it, so a dispatch pass reads the queue directly.
+    queue: BTreeMap<QueueKey, QueuedJobView>,
     /// Running job ids (iteration is JobId-sorted, hence deterministic)
     /// with their scheduled completion events.
     running: BTreeMap<JobId, EventId>,
+    /// Release ledger: walltime deadline → summed cores of the running
+    /// jobs with that deadline. Kept in step with `running` by
+    /// [`ClusterState::start_running`] and [`ClusterState::stop_running`];
+    /// its sorted, distinct keys build the availability profile in one
+    /// linear pass.
+    releases: BTreeMap<SimTime, u32>,
     free_cores: u32,
-    next_job_id: u64,
     background: Option<BackgroundWorkload>,
     // Time-weighted utilization accounting.
     busy_core_secs: f64,
@@ -198,10 +206,10 @@ struct ClusterState {
     /// arriving with `sched_epoch == last_dispatch_epoch` is a no-op and
     /// returns in O(1).
     last_dispatch_epoch: u64,
-    /// Cached policy inputs, rebuilt lazily when `views_dirty`.
-    queued_views_cache: Vec<QueuedJobView>,
-    running_views_cache: Vec<RunningJobView>,
-    views_dirty: bool,
+    /// Dispatch buffers reused across passes: the EASY availability
+    /// profile and the started ids.
+    profile: AvailabilityProfile,
+    starts: Vec<JobId>,
     /// Incrementally maintained sum of cores requested by queued jobs.
     queued_cores: u64,
     /// `estimate_wait` memo; invalidated by epoch/instant mismatch.
@@ -227,58 +235,86 @@ impl ClusterState {
         (self.busy_core_secs + busy_now) / (f64::from(self.config.total_cores) * elapsed)
     }
 
+    /// The job with this id, if this cluster issued it (callers may pass
+    /// any id through the public lookups).
+    fn get_job(&self, id: JobId) -> Option<&Job> {
+        self.jobs.get(usize::try_from(id.0).ok()?)
+    }
+
+    fn job(&self, id: JobId) -> &Job {
+        self.get_job(id).expect("job exists")
+    }
+
+    fn job_mut(&mut self, id: JobId) -> &mut Job {
+        let index = usize::try_from(id.0).ok();
+        index
+            .and_then(|i| self.jobs.get_mut(i))
+            .expect("job exists")
+    }
+
     /// Queue-order key for a job already stored in `jobs`.
     fn queue_key(&self, id: JobId) -> QueueKey {
-        (Reverse(self.jobs[&id].queue_priority), id.0)
+        (Reverse(self.job(id).queue_priority), id.0)
     }
 
-    /// Mark a scheduling-relevant state change: bumps the epoch (so
-    /// no-change dispatches and stale `estimate_wait` memos are detected)
-    /// and invalidates the cached policy views.
+    /// Mark a scheduling-relevant state change: bumps the epoch, so
+    /// no-change dispatches and stale `estimate_wait` memos are detected.
     fn touch(&mut self) {
         self.sched_epoch += 1;
-        self.views_dirty = true;
     }
 
-    /// Rebuild the cached policy inputs if anything changed since the last
-    /// dispatch. Iteration order is the BTreeMaps' — deterministic: no
-    /// `HashMap` iteration order may reach scheduler inputs, traces, or
-    /// journals (it varies with the per-process hash seed, which would
-    /// make same-seed runs diverge).
-    fn ensure_views(&mut self) {
-        if !self.views_dirty {
-            return;
+    /// Record a started job as running with its completion event, and add
+    /// its cores to the release ledger at its walltime deadline.
+    fn start_running(&mut self, id: JobId, ev: EventId) {
+        let job = self.job(id);
+        let deadline = job.walltime_deadline().expect("running job has start");
+        let cores = job.request.cores;
+        self.running.insert(id, ev);
+        *self.releases.entry(deadline).or_default() += cores;
+        self.touch();
+        #[cfg(debug_assertions)]
+        self.check_ledger();
+    }
+
+    /// Take a job out of the running set — completion, cancellation or
+    /// kill — and its cores out of the release ledger. Returns its pending
+    /// completion event.
+    fn stop_running(&mut self, id: JobId) -> EventId {
+        let ev = self.running.remove(&id).expect("running job has event");
+        let job = self.job(id);
+        let deadline = job.walltime_deadline().expect("running job has start");
+        let cores = job.request.cores;
+        let held = self
+            .releases
+            .get_mut(&deadline)
+            .expect("running job is in the release ledger");
+        *held -= cores;
+        if *held == 0 {
+            self.releases.remove(&deadline);
         }
-        let ClusterState {
-            queue,
-            running,
-            jobs,
-            queued_views_cache,
-            running_views_cache,
-            ..
-        } = self;
-        queued_views_cache.clear();
-        queued_views_cache.extend(queue.values().map(|id| {
-            let j = &jobs[id];
-            QueuedJobView {
-                id: *id,
-                cores: j.request.cores,
-                walltime: j.request.walltime_request,
-            }
-        }));
-        running_views_cache.clear();
-        running_views_cache.extend(running.keys().map(|id| {
-            let j = &jobs[id];
-            RunningJobView {
-                cores: j.request.cores,
-                deadline: j.walltime_deadline().expect("running job has start"),
-            }
-        }));
-        self.views_dirty = false;
+        #[cfg(debug_assertions)]
+        self.check_ledger();
+        ev
+    }
+
+    /// The release ledger must equal the fold of `running` over walltime
+    /// deadlines: checked after every start and end in debug builds.
+    #[cfg(debug_assertions)]
+    fn check_ledger(&self) {
+        let mut fold: BTreeMap<SimTime, u32> = BTreeMap::new();
+        for &id in self.running.keys() {
+            let job = self.job(id);
+            let deadline = job.walltime_deadline().expect("running job has start");
+            *fold.entry(deadline).or_default() += job.request.cores;
+        }
+        assert_eq!(
+            self.releases, fold,
+            "release ledger out of step with the running set"
+        );
     }
 
     fn transition(&mut self, id: JobId, next: JobState) {
-        let job = self.jobs.get_mut(&id).expect("job exists");
+        let job = self.job_mut(id);
         assert!(
             job.state.can_transition_to(next),
             "illegal job transition {:?} -> {:?} for {id}",
@@ -348,10 +384,10 @@ impl Cluster {
         let state = ClusterState {
             free_cores: config.total_cores,
             config,
-            jobs: HashMap::new(),
+            jobs: Vec::new(),
             queue: BTreeMap::new(),
             running: BTreeMap::new(),
-            next_job_id: 0,
+            releases: BTreeMap::new(),
             background: None,
             busy_core_secs: 0.0,
             last_change: SimTime::ZERO,
@@ -361,9 +397,8 @@ impl Cluster {
             down_until: None,
             sched_epoch: 1,
             last_dispatch_epoch: 0,
-            queued_views_cache: Vec::new(),
-            running_views_cache: Vec::new(),
-            views_dirty: true,
+            profile: AvailabilityProfile::from_sorted(SimTime::ZERO, 0, []),
+            starts: Vec::new(),
             queued_cores: 0,
             est_cache: None,
         };
@@ -530,8 +565,7 @@ impl Cluster {
                 st.config.name
             );
             let priority = qcfg.priority;
-            let id = JobId(st.next_job_id);
-            st.next_job_id += 1;
+            let id = JobId(st.jobs.len() as u64);
             let job = Job::new(id, request, sim.now(), priority);
             if job.request.owner == JobOwner::Pilot {
                 sim.tracer().record_with(sim.now(), || {
@@ -546,9 +580,13 @@ impl Cluster {
             // behind equal priority (stable FIFO within a queue class) —
             // the QueueKey ordering, since ids grow monotonically.
             st.queued_cores += u64::from(job.request.cores);
-            st.jobs.insert(id, job);
-            let key = (Reverse(priority), id.0);
-            st.queue.insert(key, id);
+            let view = QueuedJobView {
+                id,
+                cores: job.request.cores,
+                walltime: job.request.walltime_request,
+            };
+            st.jobs.push(job);
+            st.queue.insert((Reverse(priority), id.0), view);
             st.touch();
             id
         };
@@ -562,26 +600,25 @@ impl Cluster {
     pub fn cancel(&self, sim: &mut Simulation, id: JobId) -> bool {
         let cancelled = {
             let mut st = self.inner.borrow_mut();
-            let Some(job) = st.jobs.get(&id) else {
+            let Some(job) = st.get_job(id) else {
                 return false;
             };
             match job.state {
                 JobState::Queued => {
                     st.transition(id, JobState::Cancelled);
-                    st.jobs.get_mut(&id).expect("exists").end_time = Some(sim.now());
+                    st.job_mut(id).end_time = Some(sim.now());
                     let key = st.queue_key(id);
-                    st.queue.remove(&key).expect("queued job is in the queue");
-                    st.queued_cores -= u64::from(st.jobs[&id].request.cores);
+                    let view = st.queue.remove(&key).expect("queued job is in the queue");
+                    st.queued_cores -= u64::from(view.cores);
                     st.touch();
                     true
                 }
                 JobState::Running => {
                     st.accrue_busy(sim.now());
                     st.transition(id, JobState::Cancelled);
-                    st.jobs.get_mut(&id).expect("exists").end_time = Some(sim.now());
-                    let ev = st.running.remove(&id).expect("running job has event");
-                    let cores = st.jobs[&id].request.cores;
-                    st.free_cores += cores;
+                    st.job_mut(id).end_time = Some(sim.now());
+                    let ev = st.stop_running(id);
+                    st.free_cores += st.job(id).request.cores;
                     st.touch();
                     // Cancel the pending completion event.
                     drop(st);
@@ -593,12 +630,13 @@ impl Cluster {
         };
         if cancelled {
             let st = self.inner.borrow();
-            if st.jobs[&id].request.owner == JobOwner::Pilot {
+            let job = st.job(id);
+            if job.request.owner == JobOwner::Pilot {
                 sim.tracer().record_with(sim.now(), || {
                     (
                         format!("cluster.{}.{}", st.config.name, id),
                         TraceKind::Job(JobPhase::Cancelled),
-                        st.jobs[&id].request.tag.clone(),
+                        job.request.tag.clone(),
                     )
                 });
             }
@@ -634,11 +672,12 @@ impl Cluster {
     /// Incremental: a pass that cannot change anything — nothing happened
     /// since the last completed pass, the queue is empty, or no cores are
     /// free (no policy can start a job on zero free cores) — returns
-    /// without rebuilding views or consulting the policy.
+    /// without consulting the policy. A pass that does run reads the queue
+    /// and the release ledger as they stand: nothing is rebuilt or sorted.
     fn dispatch(&self, sim: &mut Simulation) {
         let _prof = sim.profiler().scope("cluster.scheduler");
         let now = sim.now();
-        let starts: Vec<(JobId, SimTime, JobOwner, String, SimDuration)> = {
+        let mut starts = {
             let mut st = self.inner.borrow_mut();
             if st.down_until.is_some_and(|until| now < until) {
                 // Outage/drain window: the scheduler is paused. A dispatch
@@ -654,41 +693,40 @@ impl Cluster {
                 st.last_dispatch_epoch = st.sched_epoch;
                 return;
             }
-            st.ensure_views();
             let st = &mut *st;
-            let ids = select_starts(
+            let mut starts = std::mem::take(&mut st.starts);
+            select_starts_from_ledger(
                 st.config.policy,
                 now,
                 st.free_cores,
-                &st.running_views_cache,
-                &st.queued_views_cache,
+                &st.releases,
+                st.queue.values(),
+                &mut st.profile,
+                &mut starts,
             );
-            if ids.is_empty() {
+            if starts.is_empty() {
                 // The pass examined exactly this epoch's state and found
                 // nothing to start; until something changes, every further
                 // dispatch is a no-op.
                 st.last_dispatch_epoch = st.sched_epoch;
+                st.starts = starts;
                 return;
             }
             // Starts mutate the state (epoch moves on), so the next
             // dispatch re-runs the policy — which is correct: it will be
             // triggered only by a further state change.
-            let mut started = Vec::with_capacity(ids.len());
-            for id in ids {
+            for &id in &starts {
                 st.accrue_busy(now);
-                let cores = st.jobs[&id].request.cores;
+                let cores = st.job(id).request.cores;
                 assert!(st.free_cores >= cores, "policy oversubscribed cores");
                 st.free_cores -= cores;
                 let key = st.queue_key(id);
                 st.queue.remove(&key).expect("started job was queued");
                 st.queued_cores -= u64::from(cores);
                 st.transition(id, JobState::Running);
-                let job = st.jobs.get_mut(&id).expect("exists");
+                let job = st.job_mut(id);
                 job.start_time = Some(now);
-                let end = now + job.occupancy();
                 let wait = job.queue_wait(now);
-                let owner = job.request.owner;
-                let tag = job.request.tag.clone();
                 st.wait_history.push_back(WaitRecord {
                     started_at: now,
                     wait,
@@ -698,32 +736,34 @@ impl Cluster {
                     st.wait_history.pop_front();
                 }
                 st.touch();
-                started.push((id, end, owner, tag, wait));
             }
-            started
+            starts
         };
-        let started = starts.len();
-        for (id, end, owner, tag, _wait) in starts {
+        for &id in &starts {
+            let (end, owner) = {
+                let st = self.inner.borrow();
+                let job = st.job(id);
+                (now + job.occupancy(), job.request.owner)
+            };
             if owner == JobOwner::Pilot {
                 sim.tracer().record_with(now, || {
-                    let name = self.inner.borrow().config.name.clone();
+                    let st = self.inner.borrow();
                     (
-                        format!("cluster.{name}.{id}"),
+                        format!("cluster.{}.{id}", st.config.name),
                         TraceKind::Job(JobPhase::Running),
-                        tag,
+                        st.job(id).request.tag.clone(),
                     )
                 });
             }
             let this = self.clone();
             let ev = sim.schedule_at(end, move |sim| this.on_completion(sim, id));
-            {
-                let mut st = self.inner.borrow_mut();
-                st.running.insert(id, ev);
-                st.touch();
-            }
+            self.inner.borrow_mut().start_running(id, ev);
             self.notify(sim, id, JobState::Running);
         }
-        sim.metrics().inc_by(started as u64, || {
+        let started = starts.len() as u64;
+        starts.clear();
+        self.inner.borrow_mut().starts = starts;
+        sim.metrics().inc_by(started, || {
             format!(
                 "cluster.{}.jobs_dispatched",
                 self.inner.borrow().config.name
@@ -735,32 +775,31 @@ impl Cluster {
     fn on_completion(&self, sim: &mut Simulation, id: JobId) {
         let _prof = sim.profiler().scope("cluster.scheduler");
         let now = sim.now();
-        let (owner, tag, final_state) = {
+        let (owner, final_state) = {
             let mut st = self.inner.borrow_mut();
             st.accrue_busy(now);
-            st.running.remove(&id);
-            let job = &st.jobs[&id];
+            st.stop_running(id);
+            let job = st.job(id);
             let final_state = if job.request.runtime > job.request.walltime_request {
                 JobState::Killed
             } else {
                 JobState::Completed
             };
             st.transition(id, final_state);
-            let cores = st.jobs[&id].request.cores;
-            let job = st.jobs.get_mut(&id).expect("exists");
+            let job = st.job_mut(id);
             job.end_time = Some(now);
+            let (cores, owner) = (job.request.cores, job.request.owner);
             st.free_cores += cores;
             st.touch();
-            let job = &st.jobs[&id];
-            (job.request.owner, job.request.tag.clone(), final_state)
+            (owner, final_state)
         };
         if owner == JobOwner::Pilot {
             sim.tracer().record_with(now, || {
-                let name = self.inner.borrow().config.name.clone();
+                let st = self.inner.borrow();
                 (
-                    format!("cluster.{name}.{id}"),
+                    format!("cluster.{}.{id}", st.config.name),
                     TraceKind::Job(job_phase(final_state)),
-                    tag,
+                    st.job(id).request.tag.clone(),
                 )
             });
         }
@@ -836,12 +875,15 @@ impl Cluster {
             st.down_until = Some(SimTime::from_secs(f64::INFINITY));
             // Queue order (priority, then FIFO): the order submitters are
             // notified in, as before.
-            let queued: Vec<JobId> = std::mem::take(&mut st.queue).into_values().collect();
+            let queued: Vec<JobId> = std::mem::take(&mut st.queue)
+                .into_values()
+                .map(|view| view.id)
+                .collect();
             st.queued_cores = 0;
             st.touch();
             for &id in &queued {
                 st.transition(id, JobState::Killed);
-                st.jobs.get_mut(&id).expect("queued job exists").end_time = Some(now);
+                st.job_mut(id).end_time = Some(now);
             }
             (st.config.name.clone(), queued)
         };
@@ -863,7 +905,7 @@ impl Cluster {
     /// re-entrancy-safely.
     fn kill_running_jobs(&self, sim: &mut Simulation, name: &str) {
         let now = sim.now();
-        let victims: Vec<(JobId, EventId, JobOwner, String)> = {
+        let victims: Vec<(JobId, EventId, JobOwner)> = {
             let mut st = self.inner.borrow_mut();
             // BTreeMap keys are JobId-sorted: deterministic kill (and
             // watcher-notification) order.
@@ -872,25 +914,24 @@ impl Cluster {
             for id in ids {
                 st.accrue_busy(now);
                 st.transition(id, JobState::Killed);
-                let ev = st.running.remove(&id).expect("running job has event");
-                let cores = st.jobs[&id].request.cores;
-                st.free_cores += cores;
+                let ev = st.stop_running(id);
+                st.free_cores += st.job(id).request.cores;
                 st.touch();
-                let job = st.jobs.get_mut(&id).expect("exists");
+                let job = st.job_mut(id);
                 job.end_time = Some(now);
-                out.push((id, ev, job.request.owner, job.request.tag.clone()));
+                out.push((id, ev, job.request.owner));
             }
             out
         };
         let killed = victims.len();
-        for (id, ev, owner, tag) in victims {
+        for (id, ev, owner) in victims {
             sim.cancel(ev);
             if owner == JobOwner::Pilot {
                 sim.tracer().record_with(now, || {
                     (
                         format!("cluster.{name}.{id}"),
                         TraceKind::Job(JobPhase::Killed),
-                        tag,
+                        self.inner.borrow().job(id).request.tag.clone(),
                     )
                 });
             }
@@ -981,12 +1022,12 @@ impl Cluster {
 
     /// Current state of a job.
     pub fn job_state(&self, id: JobId) -> Option<JobState> {
-        self.inner.borrow().jobs.get(&id).map(|j| j.state)
+        self.inner.borrow().get_job(id).map(|j| j.state)
     }
 
     /// Full job record (cloned).
     pub fn job(&self, id: JobId) -> Option<Job> {
-        self.inner.borrow().jobs.get(&id).cloned()
+        self.inner.borrow().get_job(id).cloned()
     }
 
     /// On-demand metrics (the Bundle's query interface reads this).
@@ -1009,16 +1050,13 @@ impl Cluster {
             queued: st
                 .queue
                 .values()
-                .map(|id| {
-                    let j = &st.jobs[id];
-                    (j.request.cores, j.request.walltime_request.as_secs())
-                })
+                .map(|view| (view.cores, view.walltime.as_secs()))
                 .collect(),
             running: st
                 .running
                 .keys()
-                .map(|id| {
-                    let j = &st.jobs[id];
+                .map(|&id| {
+                    let j = st.job(id);
                     let deadline = j.walltime_deadline().expect("running");
                     (j.request.cores, deadline.saturating_since(now).as_secs())
                 })
@@ -1065,21 +1103,14 @@ impl Cluster {
             .is_some_and(|c| c.epoch == st.sched_epoch && c.now == now);
         if stale {
             let st = &mut *st;
-            let releases: Vec<(SimTime, u32)> = st
-                .running
-                .keys()
-                .map(|id| {
-                    let j = &st.jobs[id];
-                    (j.walltime_deadline().expect("running"), j.request.cores)
-                })
-                .collect();
-            let mut profile = AvailabilityProfile::new(origin, st.free_cores, &releases);
-            for id in st.queue.values() {
-                let j = &st.jobs[id];
-                if let Some(start) =
-                    profile.earliest_fit(j.request.cores, j.request.walltime_request, origin)
-                {
-                    profile.reserve(start, j.request.walltime_request, j.request.cores);
+            let mut profile = AvailabilityProfile::from_sorted(
+                origin,
+                st.free_cores,
+                st.releases.iter().map(|(t, c)| (*t, *c)),
+            );
+            for job in st.queue.values() {
+                if let Some(start) = profile.earliest_fit(job.cores, job.walltime, origin) {
+                    profile.reserve(start, job.walltime, job.cores);
                 }
             }
             st.est_cache = Some(EstCache {

@@ -26,7 +26,9 @@ impl AvailabilityProfile {
     /// Build a profile starting at `origin` with `free_now` free cores and
     /// the given future releases `(time, cores)` (each adds cores when a
     /// running job's walltime expires). Releases may be in any order and at
-    /// or before `origin` (then they are treated as already free).
+    /// or before `origin` (then they are treated as already free). This
+    /// from-scratch form collects and sorts; a caller that keeps its
+    /// releases sorted uses [`Self::from_sorted`].
     pub fn new(origin: SimTime, free_now: u32, releases: &[(SimTime, u32)]) -> Self {
         let mut events: Vec<(SimTime, u32)> = releases
             .iter()
@@ -52,6 +54,53 @@ impl AvailabilityProfile {
             }
         }
         AvailabilityProfile { times, free }
+    }
+
+    /// Build a profile from releases already sorted by strictly increasing
+    /// time — the iteration order of a release ledger keyed by deadline.
+    /// One linear pass: no sort, no filtered copy. Releases at or before
+    /// `origin` fold into the first segment. Equal to [`Self::new`] on the
+    /// same releases.
+    pub fn from_sorted(
+        origin: SimTime,
+        free_now: u32,
+        releases: impl IntoIterator<Item = (SimTime, u32)>,
+    ) -> Self {
+        let mut profile = AvailabilityProfile {
+            times: Vec::new(),
+            free: Vec::new(),
+        };
+        profile.rebuild_sorted(origin, free_now, releases);
+        profile
+    }
+
+    /// [`Self::from_sorted`] into this profile's buffers, so a caller that
+    /// rebuilds on every scheduling pass reuses their capacity.
+    pub(crate) fn rebuild_sorted(
+        &mut self,
+        origin: SimTime,
+        free_now: u32,
+        releases: impl IntoIterator<Item = (SimTime, u32)>,
+    ) {
+        self.times.clear();
+        self.free.clear();
+        self.times.push(origin);
+        self.free.push(free_now);
+        let mut cur = free_now;
+        for (t, c) in releases {
+            cur += c;
+            let last = self.times.len() - 1;
+            debug_assert!(
+                last == 0 || self.times[last] < t,
+                "releases must be sorted with distinct times"
+            );
+            if t <= origin {
+                self.free[0] = cur;
+            } else {
+                self.times.push(t);
+                self.free.push(cur);
+            }
+        }
     }
 
     /// The profile's origin (earliest queryable instant).
@@ -137,17 +186,17 @@ impl AvailabilityProfile {
         let end = start + duration;
         self.split_at(start);
         self.split_at(end);
-        for i in 0..self.times.len() {
-            let seg_start = self.times[i];
-            if seg_start >= start && seg_start < end {
-                assert!(
-                    self.free[i] >= cores,
-                    "reservation of {cores} cores exceeds {} free at {:?}",
-                    self.free[i],
-                    seg_start
-                );
-                self.free[i] -= cores;
-            }
+        // The segments beginning in [start, end): a contiguous index range.
+        let lo = self.times.partition_point(|t| *t < start);
+        let hi = self.times.partition_point(|t| *t < end);
+        for i in lo..hi {
+            assert!(
+                self.free[i] >= cores,
+                "reservation of {cores} cores exceeds {} free at {:?}",
+                self.free[i],
+                self.times[i]
+            );
+            self.free[i] -= cores;
         }
     }
 
@@ -213,6 +262,24 @@ mod tests {
     fn past_releases_are_already_free() {
         let p = AvailabilityProfile::new(t(100.0), 1, &[(t(50.0), 4)]);
         assert_eq!(p.free_at(t(100.0)), 5);
+    }
+
+    #[test]
+    fn from_sorted_folds_past_releases_and_matches_new() {
+        let releases = [(t(50.0), 4), (t(100.0), 2), (t(130.0), 3)];
+        let p = AvailabilityProfile::from_sorted(t(100.0), 1, releases);
+        assert_eq!(p, AvailabilityProfile::new(t(100.0), 1, &releases));
+        assert_eq!(p.segments(), 2);
+        assert_eq!(p.free_at(t(100.0)), 7);
+        assert_eq!(p.free_at(t(130.0)), 10);
+    }
+
+    #[test]
+    fn rebuild_sorted_discards_the_previous_profile() {
+        let mut p = AvailabilityProfile::new(t(0.0), 2, &[(t(10.0), 3), (t(20.0), 5)]);
+        p.reserve(t(0.0), d(15.0), 2);
+        p.rebuild_sorted(t(5.0), 4, [(t(30.0), 1)]);
+        assert_eq!(p, AvailabilityProfile::new(t(5.0), 4, &[(t(30.0), 1)]));
     }
 
     #[test]
