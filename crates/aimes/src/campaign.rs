@@ -24,7 +24,13 @@
 //! dependent, so they only appear under the opt-in timing mode
 //! (`--campaign-timing` in the bench binaries).
 
-use crate::middleware::{RunError, RunResult};
+use crate::middleware::{run_application, RunError, RunOptions, RunResult};
+use crate::profile::ProfileAccumulator;
+use crate::ttc::TtcBreakdown;
+use aimes_cluster::ClusterConfig;
+use aimes_sim::{Profiler, SimDuration};
+use aimes_skeleton::SkeletonConfig;
+use aimes_strategy::ExecutionStrategy;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -130,84 +136,48 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    fn base(job: u64, sweep: &str, arm: &str, rep: u64, n_tasks: u32, seed: u64) -> Self {
+    /// The record of one finished run: TTC components and counters when
+    /// it completed, the error taxonomy and message when it failed.
+    pub fn new(
+        key: JobKey,
+        n_tasks: u32,
+        seed: u64,
+        outcome: &Result<RunResult, RunError>,
+    ) -> Self {
+        let ok = outcome.as_ref().ok();
+        let err = outcome.as_ref().err();
+        let secs = |f: fn(&TtcBreakdown) -> SimDuration| ok.map(|r| f(&r.breakdown).as_secs());
+        let count = |f: fn(&RunResult) -> u64| ok.map_or(0, f);
+        let hours = |f: fn(&RunResult) -> f64| ok.map_or(0.0, f);
         Self {
             kind: "run".into(),
-            job,
-            sweep: sweep.into(),
-            arm: arm.into(),
-            rep,
+            job: key.job as u64,
+            sweep: key.sweep.into(),
+            arm: key.arm.into(),
+            rep: key.rep as u64,
             n_tasks,
             seed,
-            outcome: String::new(),
-            error_kind: None,
-            error: None,
-            ttc_secs: None,
-            tw_secs: None,
-            tx_secs: None,
-            ts_secs: None,
-            tr_secs: None,
-            td_secs: None,
-            restarts: 0,
-            replacements: 0,
-            replans: 0,
-            false_suspicions: 0,
-            info_fallbacks: 0,
-            domain_alarms: 0,
-            evacuations: 0,
-            wasted_core_hours: 0.0,
-            salvaged_core_hours: 0.0,
-            stale_decision_secs: 0.0,
+            outcome: if ok.is_some() { "ok" } else { "failed" }.into(),
+            error_kind: err.map(|e| e.kind().to_string()),
+            error: err.map(|e| e.to_string()),
+            ttc_secs: secs(|b| b.ttc),
+            tw_secs: secs(|b| b.tw),
+            tx_secs: secs(|b| b.tx),
+            ts_secs: secs(|b| b.ts),
+            tr_secs: secs(|b| b.tr),
+            td_secs: secs(|b| b.td),
+            restarts: count(|r| r.restarts),
+            replacements: count(|r| r.replacements),
+            replans: count(|r| r.replans),
+            false_suspicions: count(|r| r.false_suspicions),
+            info_fallbacks: count(|r| r.info_fallbacks),
+            domain_alarms: count(|r| r.domain_alarms),
+            evacuations: count(|r| r.evacuations),
+            wasted_core_hours: hours(|r| r.wasted_core_hours),
+            salvaged_core_hours: hours(|r| r.salvaged_core_hours),
+            stale_decision_secs: hours(|r| r.stale_decision_secs),
             timing: None,
         }
-    }
-
-    /// Record for a completed run.
-    pub fn ok(
-        job: u64,
-        sweep: &str,
-        arm: &str,
-        rep: u64,
-        n_tasks: u32,
-        seed: u64,
-        r: &RunResult,
-    ) -> Self {
-        let mut rec = Self::base(job, sweep, arm, rep, n_tasks, seed);
-        rec.outcome = "ok".into();
-        rec.ttc_secs = Some(r.breakdown.ttc.as_secs());
-        rec.tw_secs = Some(r.breakdown.tw.as_secs());
-        rec.tx_secs = Some(r.breakdown.tx.as_secs());
-        rec.ts_secs = Some(r.breakdown.ts.as_secs());
-        rec.tr_secs = Some(r.breakdown.tr.as_secs());
-        rec.td_secs = Some(r.breakdown.td.as_secs());
-        rec.restarts = r.restarts;
-        rec.replacements = r.replacements;
-        rec.replans = r.replans;
-        rec.false_suspicions = r.false_suspicions;
-        rec.info_fallbacks = r.info_fallbacks;
-        rec.domain_alarms = r.domain_alarms;
-        rec.evacuations = r.evacuations;
-        rec.wasted_core_hours = r.wasted_core_hours;
-        rec.salvaged_core_hours = r.salvaged_core_hours;
-        rec.stale_decision_secs = r.stale_decision_secs;
-        rec
-    }
-
-    /// Record for a failed run.
-    pub fn failed(
-        job: u64,
-        sweep: &str,
-        arm: &str,
-        rep: u64,
-        n_tasks: u32,
-        seed: u64,
-        err: &RunError,
-    ) -> Self {
-        let mut rec = Self::base(job, sweep, arm, rep, n_tasks, seed);
-        rec.outcome = "failed".into();
-        rec.error_kind = Some(err.kind().to_string());
-        rec.error = Some(err.to_string());
-        rec
     }
 
     /// Attach timing-mode fields.
@@ -327,12 +297,9 @@ impl CampaignSender {
     /// (scenario construction vs simulation). The aggregate phase — record
     /// construction and the channel send — is measured here.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_outcome(
+    fn record_outcome(
         &self,
-        job: u64,
-        sweep: &str,
-        arm: &str,
-        rep: u64,
+        key: JobKey,
         n_tasks: u32,
         seed: u64,
         outcome: &Result<RunResult, RunError>,
@@ -341,10 +308,7 @@ impl CampaignSender {
         simulate_secs: f64,
     ) {
         let t_agg = Instant::now();
-        let mut rec = match outcome {
-            Ok(r) => RunRecord::ok(job, sweep, arm, rep, n_tasks, seed, r),
-            Err(e) => RunRecord::failed(job, sweep, arm, rep, n_tasks, seed, e),
-        };
+        let mut rec = RunRecord::new(key, n_tasks, seed, outcome);
         if self.timing {
             rec = rec.with_timing(RunTiming {
                 worker: rayon::current_worker_index().map_or(-1, |w| w as i64),
@@ -439,6 +403,93 @@ impl CampaignRecorder {
             file.sync_all()?;
         }
         std::fs::rename(&tmp, &self.path)
+    }
+}
+
+/// Observability hooks for a campaign: where each run reports its record,
+/// its progress tick and its engine profile. All default to off;
+/// `run_experiment` passes the empty set.
+#[derive(Clone, Copy, Default)]
+pub struct CampaignHooks<'a> {
+    /// Manifest channel; each run sends one [`RunRecord`] keyed by its
+    /// job index.
+    pub recorder: Option<&'a CampaignSender>,
+    /// Live stderr status line; ticked once per finished run.
+    pub progress: Option<&'a Progress>,
+    /// Engine self-profiling: when set, each run gets its own
+    /// [`Profiler`] and ships its report here keyed by job index, so the
+    /// merged profile is worker-count invariant. Strictly passive.
+    pub profile: Option<&'a ProfileAccumulator>,
+}
+
+/// Where one run sits in its campaign: the keys of its manifest record.
+#[derive(Clone, Copy)]
+pub struct JobKey<'a> {
+    /// Index in the fan-out order, the manifest's canonical sort key.
+    pub job: usize,
+    /// The sweep or experiment the run belongs to.
+    pub sweep: &'a str,
+    /// Arm label within the sweep.
+    pub arm: &'a str,
+    /// Repetition index within the arm.
+    pub rep: usize,
+}
+
+/// What one run executes.
+#[derive(Clone, Copy)]
+pub struct Scenario<'a> {
+    pub resources: &'a [ClusterConfig],
+    pub app: &'a SkeletonConfig,
+    pub strategy: &'a ExecutionStrategy,
+}
+
+impl CampaignHooks<'_> {
+    /// Execute one campaign run with every hook attached. `build` makes
+    /// the run's options around its per-run profiler (timed as the build
+    /// phase); the simulation is timed on its own. The profile report,
+    /// the manifest record (seeded with `options.seed`) and the progress
+    /// tick follow, then `extract` folds a completed run into the plain
+    /// value the caller aggregates.
+    pub fn run<T>(
+        &self,
+        key: JobKey,
+        scenario: Scenario,
+        build: impl FnOnce(Option<Profiler>) -> RunOptions,
+        extract: impl FnOnce(RunResult, &RunOptions) -> T,
+    ) -> Result<T, RunError> {
+        let started = self.recorder.map_or(0.0, |s| s.elapsed_secs());
+        let t_build = Instant::now();
+        // The profiler handle is created inside the worker closure and
+        // never crosses threads; only its plain-data report does.
+        let profiler = self.profile.map(|_| Profiler::new());
+        let options = build(profiler.clone());
+        let build_secs = t_build.elapsed().as_secs_f64();
+        let t_sim = Instant::now();
+        let outcome = run_application(
+            scenario.resources,
+            scenario.app,
+            scenario.strategy,
+            &options,
+        );
+        let simulate_secs = t_sim.elapsed().as_secs_f64();
+        if let (Some(acc), Some(prof)) = (self.profile, &profiler) {
+            acc.record(key.job as u64, prof.report());
+        }
+        if let Some(sender) = self.recorder {
+            sender.record_outcome(
+                key,
+                u32::try_from(scenario.app.total_tasks()).unwrap_or(u32::MAX),
+                options.seed,
+                &outcome,
+                started,
+                build_secs,
+                simulate_secs,
+            );
+        }
+        if let Some(progress) = self.progress {
+            progress.tick(outcome.is_err());
+        }
+        outcome.map(|r| extract(r, &options))
     }
 }
 
@@ -604,8 +655,17 @@ mod tests {
     use super::*;
 
     fn dummy_run(job: u64) -> RunRecord {
-        let mut rec = RunRecord::base(job, "test-sweep", "arm-a", job, 8, 1000 + job);
+        let key = JobKey {
+            job: job as usize,
+            sweep: "test-sweep",
+            arm: "arm-a",
+            rep: job as usize,
+        };
+        let failed = Err(RunError::Unplannable(String::new()));
+        let mut rec = RunRecord::new(key, 8, 1000 + job, &failed);
         rec.outcome = "ok".into();
+        rec.error_kind = None;
+        rec.error = None;
         rec.ttc_secs = Some(100.0 + job as f64);
         rec
     }
@@ -644,7 +704,13 @@ mod tests {
     #[test]
     fn failed_runs_carry_the_error_taxonomy() {
         let err = RunError::Unplannable("no qualifying resources".into());
-        let rec = RunRecord::failed(7, "sweep", "arm", 1, 16, 99, &err);
+        let key = JobKey {
+            job: 7,
+            sweep: "sweep",
+            arm: "arm",
+            rep: 1,
+        };
+        let rec = RunRecord::new(key, 16, 99, &Err(err));
         assert!(rec.is_failed());
         assert_eq!(rec.error_kind.as_deref(), Some("unplannable"));
         assert_eq!(rec.ttc_secs, None);

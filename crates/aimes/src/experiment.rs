@@ -15,12 +15,11 @@
 //! are collected in input order and every run derives its own seed via
 //! [`per_run_seed`], so output is byte-identical at any worker count.
 
-use crate::campaign::{CampaignSender, Progress};
-use crate::middleware::{run_application, RunError, RunOptions, RunResult};
-use crate::profile::ProfileAccumulator;
+use crate::campaign::{CampaignHooks, JobKey, Scenario};
+use crate::middleware::{RunOptions, RunResult};
 use crate::stats::Summary;
 use aimes_cluster::ClusterConfig;
-use aimes_sim::{Profiler, SimRng, SimTime};
+use aimes_sim::{SimRng, SimTime};
 use aimes_skeleton::{paper_bag, SkeletonConfig, TaskDurationSpec};
 use aimes_strategy::ExecutionStrategy;
 use rayon::prelude::*;
@@ -116,28 +115,13 @@ const EMPTY_SUMMARY: Summary = Summary {
     ci95: f64::NAN,
 };
 
-/// Observability hooks for a campaign: where each run reports its record
-/// and progress tick. Both default to off; `run_experiment` passes the
-/// empty set.
-#[derive(Clone, Copy, Default)]
-pub struct CampaignHooks<'a> {
-    /// Manifest channel; each run sends one [`RunRecord`] keyed by its
-    /// job index (arm = the experiment id).
-    pub recorder: Option<&'a CampaignSender>,
-    /// Live stderr status line; ticked once per finished run.
-    pub progress: Option<&'a Progress>,
-    /// Engine self-profiling: when set, each run gets its own
-    /// [`Profiler`] and ships its report here keyed by job index, so the
-    /// merged profile is worker-count invariant. Strictly passive.
-    pub profile: Option<&'a ProfileAccumulator>,
-}
-
 /// Run every (size × repetition) combination in parallel.
 pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     run_experiment_with(config, CampaignHooks::default())
 }
 
-/// [`run_experiment`] with campaign observability attached.
+/// [`run_experiment`] with campaign observability attached (arm = the
+/// experiment id).
 pub fn run_experiment_with(config: &ExperimentConfig, hooks: CampaignHooks) -> ExperimentResult {
     let jobs: Vec<(usize, u32, usize)> = config
         .task_counts
@@ -148,34 +132,31 @@ pub fn run_experiment_with(config: &ExperimentConfig, hooks: CampaignHooks) -> E
         .collect();
     let mut outcomes = jobs
         .par_iter()
-        .map(|(job, n, rep)| {
-            let started = hooks.recorder.map_or(0.0, |s| s.elapsed_secs());
-            let seed = config.run_seed(*n, *rep);
-            // The profiler handle is created inside the worker closure and
-            // never crosses threads; only its plain-data report does.
-            let profiler = hooks.profile.map(|_| Profiler::new());
-            let (outcome, build_secs, simulate_secs) = run_one(config, *n, seed, profiler.clone());
-            if let (Some(acc), Some(prof)) = (hooks.profile, &profiler) {
-                acc.record(*job as u64, prof.report());
-            }
-            if let Some(sender) = hooks.recorder {
-                sender.record_outcome(
-                    *job as u64,
-                    &config.id,
-                    &config.id,
-                    *rep as u64,
-                    *n,
+        .map(|&(job, n, rep)| {
+            let app = config.skeleton(n);
+            let key = JobKey {
+                job,
+                sweep: &config.id,
+                arm: &config.id,
+                rep,
+            };
+            let scenario = Scenario {
+                resources: &config.resources,
+                app: &app,
+                strategy: &config.strategy,
+            };
+            let build = |profiler| {
+                let seed = config.run_seed(n, rep);
+                RunOptions {
                     seed,
-                    &outcome,
-                    started,
-                    build_secs,
-                    simulate_secs,
-                );
-            }
-            if let Some(progress) = hooks.progress {
-                progress.tick(outcome.is_err());
-            }
-            outcome.map_err(|e| e.to_string())
+                    submit_at: config.submit_instant(seed),
+                    profiler,
+                    ..Default::default()
+                }
+            };
+            hooks
+                .run(key, scenario, build, |r, _| r)
+                .map_err(|e| e.to_string())
         })
         .collect::<Vec<Result<RunResult, String>>>()
         .into_iter();
@@ -217,29 +198,6 @@ pub fn run_experiment_with(config: &ExperimentConfig, hooks: CampaignHooks) -> E
         duration_label: config.duration_spec.label().to_string(),
         points,
     }
-}
-
-/// Execute one repetition, returning the outcome plus the wall split
-/// between scenario construction (skeleton + options) and simulation.
-fn run_one(
-    config: &ExperimentConfig,
-    n_tasks: u32,
-    seed: u64,
-    profiler: Option<Profiler>,
-) -> (Result<RunResult, RunError>, f64, f64) {
-    let t_build = std::time::Instant::now();
-    let submit_at = config.submit_instant(seed);
-    let skeleton = config.skeleton(n_tasks);
-    let options = RunOptions {
-        seed,
-        submit_at,
-        profiler,
-        ..Default::default()
-    };
-    let build_secs = t_build.elapsed().as_secs_f64();
-    let t_sim = std::time::Instant::now();
-    let outcome = run_application(&config.resources, &skeleton, &config.strategy, &options);
-    (outcome, build_secs, t_sim.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! ```text
 //! bench-report [--quick] [--seed S] [--jobs N] [--out BENCH_sim.json]
 //!              [--check BENCH_baseline.json] [--tolerance 0.25]
-//!              [--emit-metrics DIR]
+//!              [--only CAMPAIGN] [--emit-metrics DIR]
 //!              [--campaign-out PATH] [--campaign-timing] [--progress]
 //!              [--profile-out PATH]
 //! ```
@@ -34,7 +34,9 @@
 //!   don't).
 //!
 //! `--check` compares throughput metrics against a committed baseline and
-//! exits non-zero on a regression beyond the tolerance (CI perf-smoke).
+//! exits 1 on a regression beyond the tolerance (CI perf-smoke). A bad
+//! flag or value, or a baseline that cannot be read, prints one `error:`
+//! line and exits 2 before any campaign runs.
 //! `--campaign-out PATH` writes a `campaign.jsonl` manifest for the
 //! `campaign_throughput` fan-out (one record per run, canonical job
 //! order); `--campaign-timing` adds the volatile wall-clock fields and the
@@ -54,11 +56,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
-use aimes::experiment::{run_experiment_with, CampaignHooks};
+use aimes::experiment::run_experiment_with;
 use aimes::middleware::{run_application, RunOptions};
 use aimes::paper;
-use aimes::profile::{AllocSection, ProfileAccumulator, ProfileDoc, TimingInputs};
 use aimes_bench::alloc::{self as heap, CountingAlloc};
+use aimes_bench::cli::{self, Flags};
+use aimes_bench::Observatory;
 use aimes_cluster::{Cluster, ClusterConfig};
 use aimes_sim::{EventId, SimDuration, SimTime, Simulation, Tracer};
 use aimes_workload::WorkloadConfig;
@@ -97,101 +100,9 @@ struct BenchReport {
     peak_rss_bytes: u64,
 }
 
-struct Options {
-    quick: bool,
-    seed: u64,
-    out: String,
-    check: Option<String>,
-    tolerance: f64,
-    only: Option<String>,
-    emit_metrics: Option<std::path::PathBuf>,
-    /// Worker count for pool-backed campaigns (default: all cores).
-    jobs: Option<usize>,
-    /// Campaign manifest path for `campaign_throughput` (the one
-    /// pool-backed campaign here).
-    campaign_out: Option<std::path::PathBuf>,
-    /// Record volatile wall-clock fields + pool record in the manifest.
-    campaign_timing: bool,
-    /// Live status line on stderr for `campaign_throughput`.
-    progress: bool,
-    /// Merged `aimes-profile-v1` document for `campaign_throughput`'s
-    /// per-run engine profiles (timing gated by `--campaign-timing`).
-    profile_out: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Options {
-        quick: false,
-        seed: 20160523,
-        out: "BENCH_sim.json".to_string(),
-        check: None,
-        tolerance: 0.25,
-        only: None,
-        emit_metrics: None,
-        jobs: None,
-        campaign_out: None,
-        campaign_timing: false,
-        progress: false,
-        profile_out: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => opts.quick = true,
-            "--seed" => {
-                i += 1;
-                opts.seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--out" => {
-                i += 1;
-                opts.out = args[i].clone();
-            }
-            "--check" => {
-                i += 1;
-                opts.check = Some(args[i].clone());
-            }
-            "--tolerance" => {
-                i += 1;
-                opts.tolerance = args[i].parse().expect("--tolerance takes a float");
-            }
-            "--only" => {
-                i += 1;
-                opts.only = Some(args[i].clone());
-            }
-            "--emit-metrics" => {
-                i += 1;
-                opts.emit_metrics = Some(args[i].clone().into());
-            }
-            "--jobs" => {
-                i += 1;
-                opts.jobs = Some(args[i].parse().expect("--jobs takes an integer"));
-            }
-            "--campaign-out" => {
-                i += 1;
-                opts.campaign_out = Some(args[i].clone().into());
-            }
-            "--campaign-timing" => opts.campaign_timing = true,
-            "--progress" => opts.progress = true,
-            "--profile-out" => {
-                i += 1;
-                opts.profile_out = Some(args[i].clone().into());
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!(
-                    "usage: bench-report [--quick] [--seed S] [--jobs N] [--out FILE] \
-                     [--check BASELINE] [--tolerance F] [--emit-metrics DIR] \
-                     [--campaign-out PATH] [--campaign-timing] [--progress] \
-                     [--profile-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    opts
-}
+const USAGE: &str = "usage: bench-report [--quick] [--seed S] [--jobs N] [--out FILE] \
+     [--check BASELINE] [--tolerance F] [--only CAMPAIGN] [--emit-metrics DIR] \
+     [--campaign-out PATH] [--campaign-timing] [--progress] [--profile-out PATH]";
 
 /// Peak resident set size of this process, in bytes (Linux `VmHWM`;
 /// 0 where unavailable).
@@ -398,46 +309,16 @@ fn e2e_experiment(id: u32, seed: u64, quick: bool) -> CampaignStat {
 /// runs/sec. This is the campaign engine's fan-out throughput: it scales
 /// with `--jobs` / host cores, and the CI perf gate asserts that scaling
 /// (jobs=4 must beat jobs=1 by ≥1.8× on a 4-core runner).
-fn campaign_throughput(seed: u64, quick: bool, opts: &Options) -> CampaignStat {
+fn campaign_throughput(seed: u64, quick: bool, flags: &Flags) -> CampaignStat {
     let reps = if quick { 96 } else { 384 };
     let mut cfg = paper::experiment(1, reps, seed, Some(vec![64]));
     cfg.id = "campaign-throughput".into();
-    let total_jobs = (cfg.task_counts.len() * cfg.repetitions) as u64;
-    let recorder = opts.campaign_out.as_ref().map(|path| {
-        let meta = aimes::CampaignMeta::new("campaign-throughput", seed, total_jobs);
-        // Fresh pool accounting so a timing-mode pool record covers
-        // exactly this campaign's fan-out.
-        rayon::reset_pool_stats();
-        aimes::CampaignRecorder::create(path, &meta, opts.campaign_timing).unwrap_or_else(|e| {
-            eprintln!("cannot create campaign manifest {}: {e}", path.display());
-            std::process::exit(2);
-        })
-    });
-    let sender = recorder.as_ref().map(|r| r.sender());
-    let progress = opts.progress.then(|| aimes::Progress::new(total_jobs));
-    let profile = opts.profile_out.as_ref().map(|_| ProfileAccumulator::new());
-    let hooks = CampaignHooks {
-        recorder: sender.as_ref(),
-        progress: progress.as_ref(),
-        profile: profile.as_ref(),
-    };
-    let alloc_before = heap::snapshot();
+    let total_jobs = cfg.task_counts.len() * cfg.repetitions;
+    let obs = Observatory::open(flags, &cfg.id, "campaign_throughput", total_jobs);
     let start = Instant::now();
-    let result = run_experiment_with(&cfg, hooks);
+    let result = run_experiment_with(&cfg, obs.hooks());
     let wall = start.elapsed().as_secs_f64();
-    if let Some(progress) = &progress {
-        progress.finish();
-    }
-    drop(sender);
-    if let Some(recorder) = recorder {
-        let pool = opts
-            .campaign_timing
-            .then(|| aimes::campaign::PoolRecord::from_stats(&rayon::pool_stats()));
-        if let Err(e) = recorder.close(pool.as_ref()) {
-            eprintln!("cannot finalize campaign manifest: {e}");
-            std::process::exit(2);
-        }
-    }
+    obs.close();
     let point = &result.points[0];
     assert!(
         point.errors.is_empty(),
@@ -445,41 +326,6 @@ fn campaign_throughput(seed: u64, quick: bool, opts: &Options) -> CampaignStat {
         point.errors.first()
     );
     let runs = point.runs.len() as u64;
-    if let (Some(path), Some(acc)) = (&opts.profile_out, &profile) {
-        let merged = acc.merged();
-        // Timing is volatile (depends on host + worker count), so it is
-        // gated exactly like the campaign manifest's wall-clock fields.
-        let timing = opts.campaign_timing.then(|| {
-            let delta = heap::snapshot().since(&alloc_before);
-            let events = merged.engine.events_processed;
-            TimingInputs {
-                total_wall_secs: wall,
-                sequential: false,
-                run_walls: Vec::new(),
-                alloc: Some(AllocSection {
-                    allocs: delta.allocs,
-                    bytes_allocated: delta.bytes_allocated,
-                    peak_bytes: delta.peak_bytes,
-                    allocs_per_event: if events > 0 {
-                        delta.allocs as f64 / events as f64
-                    } else {
-                        0.0
-                    },
-                }),
-            }
-        });
-        let doc = ProfileDoc::build("campaign_throughput", seed, acc.runs(), &merged, timing);
-        doc.validate().unwrap_or_else(|e| {
-            eprintln!("internal error: produced invalid profile doc: {e}");
-            std::process::exit(2);
-        });
-        let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
-        std::fs::write(path, format!("{json}\n")).unwrap_or_else(|e| {
-            eprintln!("cannot write profile doc {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        eprintln!("wrote profile doc {}", path.display());
-    }
     CampaignStat {
         label: "campaign_throughput".to_string(),
         events: 0,
@@ -497,7 +343,6 @@ fn campaign_throughput(seed: u64, quick: bool, opts: &Options) -> CampaignStat {
 /// CSV — the observability artifacts CI uploads next to the perf report.
 fn emit_metrics(dir: &std::path::Path, seed: u64, quick: bool) {
     use aimes_sim::Telemetry;
-    use std::io::Write as _;
     let cfg = paper::experiment(1, 1, seed, Some(vec![if quick { 64 } else { 256 }]));
     let n = cfg.task_counts[0];
     let run_seed = cfg.run_seed(n, 0);
@@ -515,23 +360,12 @@ fn emit_metrics(dir: &std::path::Path, seed: u64, quick: bool) {
         },
     )
     .expect("instrumented run completes");
-    std::fs::create_dir_all(dir).expect("create --emit-metrics dir");
-    let file = |name: &str| {
-        std::io::BufWriter::new(std::fs::File::create(dir.join(name)).expect("create metrics file"))
-    };
-    let mut trace = file("trace.json");
-    telemetry
-        .write_chrome_trace(&mut trace)
-        .expect("write trace.json");
-    trace.flush().expect("flush trace.json");
-    let mut csv = file("metrics.csv");
-    telemetry
-        .write_metrics_csv(&mut csv)
-        .expect("write metrics.csv");
-    csv.flush().expect("flush metrics.csv");
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| cli::file_error("write", dir, e));
+    cli::write_with(&dir.join("trace.json"), |w| telemetry.write_chrome_trace(w));
+    cli::write_with(&dir.join("metrics.csv"), |w| telemetry.write_metrics_csv(w));
     let summary = result.metrics.expect("telemetry was attached");
     let json = serde_json::to_string_pretty(&summary).expect("summary serializes");
-    std::fs::write(dir.join("metrics.json"), format!("{json}\n")).expect("write metrics.json");
+    cli::write(&dir.join("metrics.json"), format!("{json}\n"));
     eprintln!("wrote telemetry artifacts to {}", dir.display());
 }
 
@@ -561,13 +395,25 @@ fn check_regressions(new: &BenchReport, baseline: &BenchReport, tolerance: f64) 
 }
 
 fn main() {
-    let opts = parse_args();
-    if let Some(jobs) = opts.jobs {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build_global()
-            .expect("configure worker pool");
-    }
+    let mut check: Option<std::path::PathBuf> = None;
+    let mut tolerance = 0.25;
+    let mut only: Option<String> = None;
+    let mut flags = Flags::default();
+    cli::parse(USAGE, &mut flags, |arg, args| {
+        match arg {
+            "--check" => check = Some(args.value(arg).into()),
+            "--tolerance" => tolerance = args.number(arg),
+            "--only" => only = Some(args.value(arg)),
+            _ => return false,
+        }
+        true
+    });
+    // Read the baseline before any campaign runs, so a bad path fails fast.
+    let baseline = check.map(|path| {
+        let baseline: BenchReport = serde_json::from_str(&cli::read(&path))
+            .unwrap_or_else(|e| cli::fail(&format!("bad baseline {}: {e}", path.display())));
+        (path, baseline)
+    });
     let mut campaigns = Vec::new();
     for (label, run) in [
         (
@@ -579,15 +425,15 @@ fn main() {
         ("e2e_exp4", Box::new(|s, q| e2e_experiment(4, s, q))),
         (
             "campaign_throughput",
-            Box::new(|s, q| campaign_throughput(s, q, &opts)),
+            Box::new(|s, q| campaign_throughput(s, q, &flags)),
         ),
     ] {
-        if opts.only.as_deref().is_some_and(|o| o != label) {
+        if only.as_deref().is_some_and(|o| o != label) {
             continue;
         }
         eprintln!("running campaign {label} ...");
         let alloc_before = heap::snapshot();
-        let mut stat = run(opts.seed, opts.quick);
+        let mut stat = run(flags.seed, flags.quick);
         let delta = heap::snapshot().since(&alloc_before);
         stat.peak_rss_bytes = peak_rss_bytes();
         stat.allocs_per_event = if stat.events > 0 {
@@ -603,29 +449,27 @@ fn main() {
     }
     let report = BenchReport {
         schema: "aimes-bench-v1".to_string(),
-        seed: opts.seed,
-        quick: opts.quick,
+        seed: flags.seed,
+        quick: flags.quick,
         campaigns,
         peak_rss_bytes: peak_rss_bytes(),
     };
+    let out = flags.out.as_deref().unwrap_or("BENCH_sim.json".as_ref());
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&opts.out, format!("{json}\n")).expect("report written");
-    eprintln!("wrote {}", opts.out);
+    cli::write(out, format!("{json}\n"));
+    eprintln!("wrote {}", out.display());
 
-    if let Some(dir) = &opts.emit_metrics {
-        emit_metrics(dir, opts.seed, opts.quick);
+    if let Some(dir) = &flags.emit_metrics {
+        emit_metrics(dir, flags.seed, flags.quick);
     }
 
-    if let Some(path) = &opts.check {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline: BenchReport =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("bad baseline {path}: {e}"));
-        let failures = check_regressions(&report, &baseline, opts.tolerance);
+    if let Some((path, baseline)) = &baseline {
+        let failures = check_regressions(&report, baseline, tolerance);
         if failures.is_empty() {
             eprintln!(
-                "no regression beyond {:.0}% against {path}",
-                opts.tolerance * 100.0
+                "no regression beyond {:.0}% against {}",
+                tolerance * 100.0,
+                path.display()
             );
         } else {
             for f in &failures {

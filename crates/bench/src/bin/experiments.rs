@@ -39,11 +39,14 @@
 //! ```
 //!
 //! `--quick` restricts sizes to {8, 64, 512} and 3 repetitions for a fast
-//! shape check. `--fail-on-error` makes `ablation-faults` exit non-zero
-//! if any healing arm (oracle or detection) fails a run — the chaos-smoke
-//! CI gate. `--jobs N` caps the worker pool the sweeps fan out on
-//! (default: all cores; every run owns its seed and results aggregate in
-//! job order, so output is byte-identical at any worker count).
+//! shape check. `--fail-on-error` makes the four chaos sweeps (faults,
+//! detection, info, cascade) exit non-zero if a run fails — in
+//! `ablation-faults`, a run of a healing arm (oracle or detect) — the
+//! chaos-smoke CI gate; `--dump-dir DIR` leaves the flight-recorder
+//! post-mortems of their failed runs in DIR. `--jobs N` caps the worker
+//! pool the sweeps fan out on (default: all cores; every run owns its
+//! seed and results aggregate in job order, so output is byte-identical
+//! at any worker count). All four sweeps run on one driver, `run_sweep`.
 //!
 //! Campaign observability (the parallel sweeps — faults, detection, info,
 //! cascade): `--campaign-out PATH` writes a `campaign.jsonl` manifest with
@@ -66,18 +69,26 @@
 //! `metrics.json` (the summary), and `metrics.csv` (gauge timelines);
 //! `--trace-out <path>` streams the full event trace as JSON.
 
+use aimes::campaign::Scenario;
 use aimes::experiment::{run_experiment, ExperimentConfig, ExperimentResult};
-use aimes::middleware::{run_application, RunOptions};
+use aimes::middleware::{run_application, RunOptions, RunResult};
 use aimes::paper;
-use aimes::profile::{self, AllocSection, ProfileAccumulator, ProfileDoc, TimingInputs};
+use aimes::profile::{self, ProfileDoc, TimingInputs};
 use aimes::report;
 use aimes::stats::Summary;
 use aimes_bench::alloc::{self as heap, CountingAlloc};
+use aimes_bench::cli::{self, Flags};
+use aimes_bench::observatory::{alloc_section, write_profile_doc};
+use aimes_bench::sweep::{json, mean, total, ttc_cell, Arm, Column, Sweep};
+use aimes_cluster::ClusterConfig;
 use aimes_sim::{EngineStats, Profiler, SimRng, SimTime};
-use aimes_skeleton::{bag_of_tasks, paper_task_counts, TaskDurationSpec};
+use aimes_skeleton::{bag_of_tasks, TaskDurationSpec};
 use aimes_strategy::ExecutionStrategy;
 use aimes_workload::Distribution;
-use rayon::prelude::*;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::rc::Rc;
 
 /// Heap accounting for profile documents: every allocation in this
 /// binary is counted (relaxed atomics, peak via atomic max).
@@ -85,46 +96,32 @@ use rayon::prelude::*;
 static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
 
 struct Options {
+    /// The flags shared with `bench-report`.
+    flags: Flags,
     reps: usize,
-    seed: u64,
-    quick: bool,
     fail_on_error: bool,
-    emit_metrics: Option<std::path::PathBuf>,
-    trace_out: Option<std::path::PathBuf>,
+    trace_out: Option<PathBuf>,
     /// Scenario name for `journal` (see `aimes_bench::scenarios::NAMES`).
     scenario: String,
-    /// Output path for `journal` / `analyze`.
-    out: Option<std::path::PathBuf>,
     /// Closure epsilon for `analyze`.
     epsilon: f64,
     /// Relative regression threshold for `analytics-diff`.
     threshold: f64,
     /// Positional file arguments after the command (journal/analysis
     /// paths for `analyze` and `analytics-diff`).
-    files: Vec<std::path::PathBuf>,
-    /// Flight-recorder dump directory for the chaos arms (`ablation-info`,
-    /// `ablation-faults`): failed runs leave checksummed post-mortem
-    /// snapshots here for CI to collect as artifacts.
-    dump_dir: Option<std::path::PathBuf>,
-    /// Worker-pool size for the parallel sweeps (default: all cores).
-    jobs: Option<usize>,
-    /// Campaign manifest path (`campaign.jsonl`) for the parallel sweeps
-    /// (faults / detection / info / cascade): one record per run,
-    /// canonicalized to job order at close.
-    campaign_out: Option<std::path::PathBuf>,
-    /// Record volatile wall-clock fields (worker index, wall offsets,
-    /// phase split, pool record) in the manifest. Off by default — the
-    /// default manifest is byte-identical at any worker count.
-    campaign_timing: bool,
-    /// Live status line on stderr. Off by default so sweep stderr stays
-    /// byte-identical across worker counts.
-    progress: bool,
-    /// `aimes-profile-v1` output path: for the parallel sweeps, the
-    /// merged per-run engine profile (host timing gated by
-    /// `--campaign-timing`, so the default document is byte-identical at
-    /// any `--jobs`); for the `profile` command, where the document goes
-    /// instead of stdout.
-    profile_out: Option<std::path::PathBuf>,
+    files: Vec<PathBuf>,
+    /// Flight-recorder dump directory for the chaos sweeps (faults,
+    /// detection, info, cascade): failed runs leave checksummed
+    /// post-mortem snapshots here for CI to collect as artifacts.
+    dump_dir: Option<PathBuf>,
+}
+
+impl std::ops::Deref for Options {
+    type Target = Flags;
+
+    fn deref(&self) -> &Flags {
+        &self.flags
+    }
 }
 
 const USAGE: &str = "commands: table1 | fig2 | fig3 | fig4 | ablation-pilots | \
@@ -143,77 +140,36 @@ const USAGE: &str = "commands: table1 | fig2 | fig3 | fig4 | ablation-pilots | \
      analytics-diff: <run-a> <run-b> --threshold T\n\
      campaign-report: <campaign.jsonl>";
 
-/// A bad command line is the caller's mistake, not a crash: one `error:`
-/// line on stderr and exit status 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, not {value:?}")))
-}
-
-fn parse_args() -> (String, Options) {
+/// The command and its options, from the shared flag loop plus the flags
+/// and positional arguments only this binary takes.
+fn options() -> (String, Options) {
     let mut command = String::from("help");
     let mut opts = Options {
+        flags: Flags::default(),
         reps: aimes_bench::DEFAULT_REPETITIONS,
-        seed: 20160523, // IPDPS 2016 opening day
-        quick: false,
         fail_on_error: false,
-        emit_metrics: None,
         trace_out: None,
         scenario: "exp1".into(),
-        out: None,
         epsilon: aimes_analytics::DEFAULT_EPSILON_SECS,
         threshold: 0.10,
         files: Vec::new(),
         dump_dir: None,
-        jobs: None,
-        campaign_out: None,
-        campaign_timing: false,
-        progress: false,
-        profile_out: None,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| usage_error(&format!("{arg} takes a value")))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--reps" => opts.reps = number(&arg, &value()),
-            "--seed" => opts.seed = number(&arg, &value()),
-            "--quick" => opts.quick = true,
+    cli::parse(USAGE, &mut opts.flags, |arg, args| {
+        match arg {
+            "--reps" => opts.reps = args.number(arg),
             "--fail-on-error" => opts.fail_on_error = true,
-            "--emit-metrics" => opts.emit_metrics = Some(value().into()),
-            "--trace-out" => opts.trace_out = Some(value().into()),
-            "--scenario" => opts.scenario = value(),
-            "--out" => opts.out = Some(value().into()),
-            "--epsilon" => opts.epsilon = number(&arg, &value()),
-            "--threshold" => opts.threshold = number(&arg, &value()),
-            "--dump-dir" => opts.dump_dir = Some(value().into()),
-            "--jobs" => opts.jobs = Some(number(&arg, &value())),
-            "--campaign-out" => opts.campaign_out = Some(value().into()),
-            "--campaign-timing" => opts.campaign_timing = true,
-            "--progress" => opts.progress = true,
-            "--profile-out" => opts.profile_out = Some(value().into()),
-            c if !c.starts_with("--") => {
-                if command == "help" {
-                    command = c.to_string();
-                } else {
-                    opts.files.push(c.into());
-                }
-            }
-            other => usage_error(&format!("unknown flag {other}")),
+            "--trace-out" => opts.trace_out = Some(args.value(arg).into()),
+            "--scenario" => opts.scenario = args.value(arg),
+            "--epsilon" => opts.epsilon = args.number(arg),
+            "--threshold" => opts.threshold = args.number(arg),
+            "--dump-dir" => opts.dump_dir = Some(args.value(arg).into()),
+            c if !c.starts_with("--") && command == "help" => command = c.to_string(),
+            c if !c.starts_with("--") => opts.files.push(c.into()),
+            _ => return false,
         }
-    }
+        true
+    });
     if opts.quick {
         opts.reps = opts.reps.min(3);
     }
@@ -884,168 +840,31 @@ fn ablation_queue(opts: &Options) {
     );
 }
 
+/// A pool of idle 4096-core test clusters.
+fn test_pool(names: &[&str]) -> Vec<ClusterConfig> {
+    names.iter().map(|n| ClusterConfig::test(n, 4096)).collect()
+}
+
+/// A bag of 15-minute tasks.
+fn bag_15min(name: &str, n_tasks: u32) -> aimes_skeleton::SkeletonConfig {
+    bag_of_tasks(
+        name,
+        n_tasks,
+        Distribution::Constant { value: 900.0 },
+        1.0,
+        0.002,
+    )
+}
+
 /// Fault sweep: failure rate on the x-axis, measuring what self-healing
 /// costs and what it saves. Each rate drives both the per-unit fault
 /// chance and the expected random-outage count per resource; every
 /// schedule is replayed three ways — oracle recovery (reacts at the
-/// injection instant, PR 1 behavior), detection-driven recovery (reacts
-/// only to missed heartbeats and tripped breakers), and no recovery.
-/// Emits the markdown table plus a JSON block for downstream plotting.
-/// With `--fail-on-error`, any failed run in a healing arm (oracle or
-/// detect) exits non-zero — the chaos-smoke CI gate.
-/// Coarse failure class for sweep error tallies.
-fn error_class(e: &aimes::middleware::RunError) -> &'static str {
-    match e {
-        aimes::middleware::RunError::PilotsDrained { .. } => "drained",
-        aimes::middleware::RunError::ResourceLost { .. } => "lost",
-        aimes::middleware::RunError::DeadlineExceeded { .. } => "deadline",
-        _ => "other",
-    }
-}
-
-/// The one per-run failure line every sweep prints, with the same
-/// `arm=.. rep=.. seed=..` keys the manifest's failure records carry —
-/// stderr and `campaign.jsonl` always agree on what failed and why.
-fn report_arm_failure(sweep: &str, arm: &str, rep: usize, seed: u64, err: &str) {
-    eprintln!("{sweep} arm failed: arm={arm} rep={rep} seed={seed}: {err}");
-}
-
-/// The shared `--fail-on-error` exit for every sweep.
-fn exit_fail_on_error(sweep: &str, failures: usize) -> ! {
-    eprintln!("{failures} {sweep} run(s) failed under --fail-on-error");
-    std::process::exit(1);
-}
-
-/// Campaign observability for one sweep: the `campaign.jsonl` recorder
-/// (when `--campaign-out`), the live progress line (when `--progress`),
-/// and the merged engine profile (when `--profile-out`). All default
-/// off, so sweep output at defaults is untouched by this layer.
-struct Observatory {
-    recorder: Option<aimes::campaign::CampaignRecorder>,
-    sender: Option<aimes::campaign::CampaignSender>,
-    progress: Option<aimes::campaign::Progress>,
-    timing: bool,
-    /// Per-run profile collection point, merged in job order at close.
-    profile: Option<(std::path::PathBuf, ProfileAccumulator)>,
-    command: String,
-    seed: u64,
-    alloc_before: heap::AllocSnapshot,
-    wall_started: std::time::Instant,
-}
-
-impl Observatory {
-    /// Open the manifest (writing its meta line) and reset the pool's
-    /// accounting so a timing-mode pool record covers exactly this sweep.
-    fn open(opts: &Options, command: &str, total_jobs: usize) -> Observatory {
-        let recorder = opts.campaign_out.as_ref().map(|path| {
-            aimes::campaign::CampaignRecorder::create(
-                path,
-                &aimes::campaign::CampaignMeta::new(command, opts.seed, total_jobs as u64),
-                opts.campaign_timing,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot create campaign manifest {}: {e}", path.display());
-                std::process::exit(2);
-            })
-        });
-        if recorder.is_some() {
-            rayon::reset_pool_stats();
-        }
-        let sender = recorder.as_ref().map(|r| r.sender());
-        let progress = opts
-            .progress
-            .then(|| aimes::campaign::Progress::new(total_jobs as u64));
-        let profile = opts
-            .profile_out
-            .as_ref()
-            .map(|path| (path.clone(), ProfileAccumulator::new()));
-        Observatory {
-            recorder,
-            sender,
-            progress,
-            timing: opts.campaign_timing,
-            profile,
-            command: command.to_string(),
-            seed: opts.seed,
-            alloc_before: heap::snapshot(),
-            wall_started: std::time::Instant::now(),
-        }
-    }
-
-    /// The borrows the worker closures capture. When profiling is on,
-    /// each worker makes a fresh per-run [`Profiler`] (the handle is
-    /// `!Send`) and records its report into the accumulator by job index.
-    fn handles(
-        &self,
-    ) -> (
-        Option<&aimes::campaign::CampaignSender>,
-        Option<&aimes::campaign::Progress>,
-        Option<&ProfileAccumulator>,
-    ) {
-        (
-            self.sender.as_ref(),
-            self.progress.as_ref(),
-            self.profile.as_ref().map(|(_, acc)| acc),
-        )
-    }
-
-    /// Finish the progress line, canonicalize the manifest (in timing
-    /// mode the pool's accounting goes in as the final record), and write
-    /// the merged profile document.
-    fn close(self) {
-        if let Some(progress) = &self.progress {
-            progress.finish();
-        }
-        drop(self.sender);
-        if let Some(recorder) = self.recorder {
-            let pool = self
-                .timing
-                .then(|| aimes::campaign::PoolRecord::from_stats(&rayon::pool_stats()));
-            if let Err(e) = recorder.close(pool.as_ref()) {
-                eprintln!("cannot finalize campaign manifest: {e}");
-                std::process::exit(2);
-            }
-        }
-        let Some((path, acc)) = self.profile else {
-            return;
-        };
-        let merged = acc.merged();
-        // Host timing and allocator counters are volatile (worker-count
-        // and host dependent), so they are gated exactly like the
-        // manifest's wall-clock fields: only present in timing mode.
-        let timing = self.timing.then(|| {
-            let delta = heap::snapshot().since(&self.alloc_before);
-            let events = merged.engine.events_processed;
-            TimingInputs {
-                total_wall_secs: self.wall_started.elapsed().as_secs_f64(),
-                sequential: false,
-                run_walls: Vec::new(),
-                alloc: Some(AllocSection {
-                    allocs: delta.allocs,
-                    bytes_allocated: delta.bytes_allocated,
-                    peak_bytes: delta.peak_bytes,
-                    allocs_per_event: if events > 0 {
-                        delta.allocs as f64 / events as f64
-                    } else {
-                        0.0
-                    },
-                }),
-            }
-        });
-        let doc = ProfileDoc::build(&self.command, self.seed, acc.runs(), &merged, timing);
-        if let Err(e) = doc.validate() {
-            eprintln!("internal error: produced invalid profile doc: {e}");
-            std::process::exit(2);
-        }
-        let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
-        if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
-            eprintln!("cannot write profile doc {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("wrote profile doc {}", path.display());
-    }
-}
-
+/// injection instant), detection-driven recovery (reacts only to missed
+/// heartbeats and tripped breakers), and no recovery. Emits the markdown
+/// table plus a JSON block for downstream plotting. With
+/// `--fail-on-error`, any failed run in a healing arm (oracle or detect)
+/// exits non-zero — the chaos-smoke CI gate.
 fn ablation_faults(opts: &Options) {
     use aimes_fault::{FaultSpec, RecoveryPolicy};
 
@@ -1063,22 +882,13 @@ fn ablation_faults(opts: &Options) {
         replacements: u64,
         replans: u64,
         false_suspicions: u64,
-        errors: std::collections::BTreeMap<String, usize>,
+        errors: BTreeMap<String, usize>,
     }
 
     println!("## Ablation — fault injection & self-healing (late binding, 2 pilots)\n");
     let n_tasks = if opts.quick { 32 } else { 64 };
-    let pool: Vec<aimes_cluster::ClusterConfig> = ["fa", "fb", "fc"]
-        .iter()
-        .map(|n| aimes_cluster::ClusterConfig::test(n, 4096))
-        .collect();
-    let app = bag_of_tasks(
-        "faults",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
-    );
+    let pool = test_pool(&["fa", "fb", "fc"]);
+    let app = bag_15min("faults", n_tasks);
     let mut strategy = ExecutionStrategy::paper_late(2);
     strategy.selection = aimes_strategy::ResourceSelection::Random;
     // A generous fixed walltime keeps pilot lifetime out of the picture:
@@ -1086,227 +896,92 @@ fn ablation_faults(opts: &Options) {
     // and walltime underestimation is the walltime ablation's topic.
     strategy.walltime = aimes_strategy::WalltimePolicy::FixedSecs(6 * 3600);
 
-    let rates = [0.0, 0.05, 0.1, 0.2, 0.4];
-    let modes = ["oracle", "detect", "off"];
-
-    // Fan the whole (rate × mode × rep) cross product across the worker
-    // pool. Each run returns a plain Send value; aggregation and every
-    // print (stdout table, stderr failure lines) happen below in job
-    // order, so the sweep's output is byte-identical at any --jobs.
-    struct FaultsRun {
-        ttc: f64,
-        tr: f64,
-        td: f64,
-        wasted: f64,
-        restarts: u64,
-        replacements: u64,
-        replans: u64,
-        false_suspicions: u64,
-    }
-    let reps_n = opts.reps;
-    let jobs: Vec<(usize, f64, &str, usize)> = rates
-        .iter()
-        .flat_map(|&rate| {
-            modes
-                .into_iter()
-                .flat_map(move |mode| (0..reps_n).map(move |rep| (rate, mode, rep)))
+    // One seed stream per rate, shared by its three recovery arms:
+    // identical fault schedules, the only difference is how the run heals.
+    let arms = [0.0, 0.05, 0.1, 0.2, 0.4]
+        .into_iter()
+        .flat_map(|rate| {
+            ["oracle", "detect", "off"].map(|mode| Arm {
+                label: format!("{rate:.2}/{mode}"),
+                gated: mode != "off",
+                ..Arm::on(&format!("faults-{rate}"), mode, (rate, mode))
+            })
         })
-        .enumerate()
-        .map(|(job, (rate, mode, rep))| (job, rate, mode, rep))
         .collect();
-    let obs = Observatory::open(opts, "ablation-faults", jobs.len());
-    let (sender, progress, profile) = obs.handles();
-    type FaultsOutcome = (u64, Result<FaultsRun, (&'static str, String)>);
-    let outcomes: Vec<FaultsOutcome> = jobs
-        .par_iter()
-        .map(|&(job, rate, mode, rep)| {
-            let started = sender.map_or(0.0, |s| s.elapsed_secs());
-            let t_build = std::time::Instant::now();
+    let sweep = Sweep {
+        name: "ablation-faults",
+        scenario: Scenario {
+            resources: &pool,
+            app: &app,
+            strategy: &strategy,
+        },
+        arms,
+        reps: opts.reps,
+        dump_dir: opts.dump_dir.as_deref(),
+    };
+    let results = sweep.run(
+        opts,
+        |&(rate, mode)| RunOptions {
             // Outages are placed inside the first hour after submission —
             // the window the run actually occupies — so the rate axis
             // genuinely exercises pilot death, not just unit faults.
-            let faults = FaultSpec {
+            faults: Some(FaultSpec {
                 unit_failure_chance: rate,
                 random_outages_per_resource: 2.0 * rate,
                 random_outage_duration_secs: (300.0, 900.0),
                 horizon_secs: 3600.0,
                 ..FaultSpec::none()
-            };
-            // Same seed for all three recovery arms: identical fault
-            // schedules, the only difference is how the run heals.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed(&format!("faults-{rate}"), rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-            let recovery = match mode {
+            }),
+            recovery: match mode {
                 "oracle" => Some(RecoveryPolicy::default()),
                 "detect" => Some(RecoveryPolicy::with_detection()),
                 _ => None,
-            };
-            let profiler = profile.map(|_| Profiler::new());
-            let options = RunOptions {
-                seed,
-                submit_at,
-                faults: Some(faults),
-                recovery,
-                recorder_dump_dir: opts.dump_dir.clone(),
-                run_tag: Some(format!("faults-{rate}-{mode}-r{rep}")),
-                profiler: profiler.clone(),
-                ..Default::default()
-            };
-            let build_secs = t_build.elapsed().as_secs_f64();
-            let t_sim = std::time::Instant::now();
-            let outcome = run_application(&pool, &app, &strategy, &options);
-            let simulate_secs = t_sim.elapsed().as_secs_f64();
-            if let (Some(acc), Some(prof)) = (profile, &profiler) {
-                acc.record(job as u64, prof.report());
-            }
-            if let Some(sender) = sender {
-                sender.record_outcome(
-                    job as u64,
-                    "ablation-faults",
-                    &format!("{rate:.2}/{mode}"),
-                    rep as u64,
-                    n_tasks,
-                    seed,
-                    &outcome,
-                    started,
-                    build_secs,
-                    simulate_secs,
-                );
-            }
-            if let Some(progress) = progress {
-                progress.tick(outcome.is_err());
-            }
-            let outcome = outcome
-                .map(|r| FaultsRun {
-                    ttc: r.breakdown.ttc.as_secs(),
-                    tr: r.breakdown.tr.as_secs(),
-                    td: r.breakdown.td.as_secs(),
-                    wasted: r.wasted_core_hours,
-                    restarts: r.restarts,
-                    replacements: r.replacements,
-                    replans: r.replans,
-                    false_suspicions: r.false_suspicions,
-                })
-                .map_err(|e| (error_class(&e), e.to_string()));
-            (seed, outcome)
-        })
-        .collect();
-    obs.close();
+            },
+            ..Default::default()
+        },
+        |r, _| r,
+    );
 
-    let mut rows = Vec::new();
-    let mut points: Vec<SweepPoint> = Vec::new();
-    let mut healing_errors = 0usize;
-    let mut outcome_iter = outcomes.into_iter();
-    for &rate in &rates {
-        for mode in modes {
-            let mut ttcs = Vec::new();
-            let mut trs = Vec::new();
-            let mut tds = Vec::new();
-            let mut wasted = Vec::new();
-            let mut restarts = 0u64;
-            let mut replacements = 0u64;
-            let mut replans = 0u64;
-            let mut false_suspicions = 0u64;
-            let mut errors: std::collections::BTreeMap<String, usize> =
-                std::collections::BTreeMap::new();
-            for rep in 0..opts.reps {
-                let (seed, out) = outcome_iter.next().expect("one outcome per job");
-                match out {
-                    Ok(r) => {
-                        ttcs.push(r.ttc);
-                        trs.push(r.tr);
-                        tds.push(r.td);
-                        wasted.push(r.wasted);
-                        restarts += r.restarts;
-                        replacements += r.replacements;
-                        replans += r.replans;
-                        false_suspicions += r.false_suspicions;
-                    }
-                    Err((class, e)) => {
-                        *errors.entry(class.to_string()).or_insert(0) += 1;
-                        if mode != "off" {
-                            healing_errors += 1;
-                            report_arm_failure(
-                                "ablation-faults",
-                                &format!("{rate:.2}/{mode}"),
-                                rep,
-                                seed,
-                                &e,
-                            );
-                        }
-                    }
-                }
-            }
-            let mean = |v: &[f64]| {
-                if v.is_empty() {
-                    0.0
-                } else {
-                    v.iter().sum::<f64>() / v.len() as f64
-                }
-            };
-            rows.push(vec![
-                format!("{rate:.2}"),
-                mode.to_string(),
-                format!("{}/{}", ttcs.len(), opts.reps),
-                if ttcs.is_empty() {
-                    "-".into()
-                } else {
-                    format!("{:.0}", mean(&ttcs))
-                },
-                format!("{:.0}", mean(&trs)),
-                format!("{:.0}", mean(&tds)),
-                format!("{:.2}", mean(&wasted)),
-                restarts.to_string(),
-                replacements.to_string(),
-                replans.to_string(),
-                false_suspicions.to_string(),
-            ]);
-            points.push(SweepPoint {
+    let points: Vec<SweepPoint> = sweep
+        .arms
+        .iter()
+        .zip(&results.arms)
+        .map(|(arm, out)| {
+            let (rate, mode) = arm.spec;
+            let runs = &out.runs;
+            SweepPoint {
                 failure_rate: rate,
                 recovery: mode.to_string(),
                 reps: opts.reps,
-                completed: ttcs.len(),
-                ttc_mean_secs: mean(&ttcs),
-                tr_mean_secs: mean(&trs),
-                td_mean_secs: mean(&tds),
-                wasted_core_hours_mean: mean(&wasted),
-                restarts,
-                replacements,
-                replans,
-                false_suspicions,
-                errors,
-            });
-        }
-    }
-    println!(
-        "{}",
-        report::markdown_table(
-            &[
-                "Rate",
-                "Recovery",
-                "Completed",
-                "TTC mean(s)",
-                "Tr mean(s)",
-                "Td mean(s)",
-                "Wasted(ch)",
-                "Restarts",
-                "Replacements",
-                "Replans",
-                "FalseSusp"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "\n### JSON\n```json\n{}\n```",
-        serde_json::to_string_pretty(&points).expect("sweep points serialize")
-    );
-    if opts.fail_on_error && healing_errors > 0 {
-        exit_fail_on_error("ablation-faults healing-arm", healing_errors);
-    }
+                completed: runs.len(),
+                ttc_mean_secs: mean(runs, |r| r.breakdown.ttc.as_secs()),
+                tr_mean_secs: mean(runs, |r| r.breakdown.tr.as_secs()),
+                td_mean_secs: mean(runs, |r| r.breakdown.td.as_secs()),
+                wasted_core_hours_mean: mean(runs, |r| r.wasted_core_hours),
+                restarts: total(runs, |r| r.restarts),
+                replacements: total(runs, |r| r.replacements),
+                replans: total(runs, |r| r.replans),
+                false_suspicions: total(runs, |r| r.false_suspicions),
+                errors: out.errors.clone(),
+            }
+        })
+        .collect();
+    let columns: [Column<SweepPoint>; 11] = [
+        ("Rate", &|p| format!("{:.2}", p.failure_rate)),
+        ("Recovery", &|p| p.recovery.clone()),
+        ("Completed", &|p| format!("{}/{}", p.completed, p.reps)),
+        ("TTC mean(s)", &|p| ttc_cell(p.completed, p.ttc_mean_secs)),
+        ("Tr mean(s)", &|p| format!("{:.0}", p.tr_mean_secs)),
+        ("Td mean(s)", &|p| format!("{:.0}", p.td_mean_secs)),
+        ("Wasted(ch)", &|p| {
+            format!("{:.2}", p.wasted_core_hours_mean)
+        }),
+        ("Restarts", &|p| p.restarts.to_string()),
+        ("Replacements", &|p| p.replacements.to_string()),
+        ("Replans", &|p| p.replans.to_string()),
+        ("FalseSusp", &|p| p.false_suspicions.to_string()),
+    ];
+    results.finish(opts.fail_on_error, &columns, &points, json(&points), None);
 }
 
 /// Correlated-failure ablation: a two-domain pool where a permanent
@@ -1336,22 +1011,13 @@ fn ablation_cascade(opts: &Options) {
         evacuations: u64,
         checkpoints: u64,
         resumes: u64,
-        errors: std::collections::BTreeMap<String, usize>,
+        errors: BTreeMap<String, usize>,
     }
 
     println!("## Ablation — correlated-failure domains: evacuation & checkpointed salvage\n");
     let n_tasks = if opts.quick { 16 } else { 32 };
-    let pool: Vec<aimes_cluster::ClusterConfig> = ["ca", "cb", "cc", "cd", "ce", "cf"]
-        .iter()
-        .map(|n| aimes_cluster::ClusterConfig::test(n, 4096))
-        .collect();
-    let app = bag_of_tasks(
-        "cascade",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
-    );
+    let pool = test_pool(&["ca", "cb", "cc", "cd", "ce", "cf"]);
+    let app = bag_15min("cascade", n_tasks);
     // Pin all three pilots inside the doomed domain: the cascade takes
     // out the entire footprint, so survival hinges on the recovery arm.
     let mut strategy = ExecutionStrategy::paper_late(3);
@@ -1387,43 +1053,25 @@ fn ablation_cascade(opts: &Options) {
         ..FaultSpec::none()
     };
 
-    // One (arm × rep) run on the pool. The journal Rc and the analytics
-    // reconstruction both live inside the closure; only plain Send data
-    // crosses back. Aggregation and printing run sequentially in job
-    // order, so output is byte-identical at any --jobs.
-    struct CascadeRun {
-        ttc: f64,
-        wasted: f64,
-        salvaged: f64,
-        lead: Option<f64>,
-        domain_alarms: u64,
-        evacuations: u64,
-        checkpoints: u64,
-        resumes: u64,
-    }
-    let arms = ["reactive", "evacuate", "evac+ckpt"];
-    let reps_n = opts.reps;
-    let jobs: Vec<(usize, &str, usize)> = arms
-        .iter()
-        .flat_map(|&arm| (0..reps_n).map(move |rep| (arm, rep)))
-        .enumerate()
-        .map(|(job, (arm, rep))| (job, arm, rep))
-        .collect();
-    let obs = Observatory::open(opts, "ablation-cascade", jobs.len());
-    let (sender, progress, profile) = obs.handles();
-    type CascadeOutcome = (u64, Result<CascadeRun, (&'static str, String)>);
-    let outcomes: Vec<CascadeOutcome> = jobs
-        .par_iter()
-        .map(|&(job, arm, rep)| {
-            let started = sender.map_or(0.0, |s| s.elapsed_secs());
-            let t_build = std::time::Instant::now();
-            // Same seed across all three arms: identical cascade
-            // schedules, the only difference is how the run survives.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed("cascade", rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
+    // One seed stream for all three arms: identical cascade schedules,
+    // the only difference is how the run survives.
+    let sweep = Sweep {
+        name: "ablation-cascade",
+        scenario: Scenario {
+            resources: &pool,
+            app: &app,
+            strategy: &strategy,
+        },
+        arms: ["reactive", "evacuate", "evac+ckpt"]
+            .into_iter()
+            .map(|arm| Arm::on("cascade", arm, arm))
+            .collect(),
+        reps: opts.reps,
+        dump_dir: opts.dump_dir.as_deref(),
+    };
+    let results = sweep.run(
+        opts,
+        |&arm| {
             let mut recovery = RecoveryPolicy::with_detection();
             if arm != "reactive" {
                 recovery.evacuation = Some(EvacuationSpec::default());
@@ -1431,168 +1079,72 @@ fn ablation_cascade(opts: &Options) {
             if arm == "evac+ckpt" {
                 recovery.checkpoint_interval = aimes_sim::SimDuration::from_secs(120.0);
             }
-            let journal =
-                std::rc::Rc::new(std::cell::RefCell::new(aimes::journal::RunJournal::new()));
-            let profiler = profile.map(|_| Profiler::new());
-            let options = RunOptions {
-                seed,
-                submit_at,
+            RunOptions {
                 faults: Some(faults.clone()),
                 recovery: Some(recovery),
-                journal: Some(journal.clone()),
-                recorder_dump_dir: opts.dump_dir.clone(),
-                run_tag: Some(format!("cascade-{arm}-r{rep}")),
-                profiler: profiler.clone(),
+                journal: Some(Rc::new(RefCell::new(aimes::journal::RunJournal::new()))),
                 ..Default::default()
-            };
-            let build_secs = t_build.elapsed().as_secs_f64();
-            let t_sim = std::time::Instant::now();
-            let outcome = run_application(&pool, &app, &strategy, &options);
-            let simulate_secs = t_sim.elapsed().as_secs_f64();
-            if let (Some(acc), Some(prof)) = (profile, &profiler) {
-                acc.record(job as u64, prof.report());
             }
-            if let Some(sender) = sender {
-                sender.record_outcome(
-                    job as u64,
-                    "ablation-cascade",
-                    arm,
-                    rep as u64,
-                    n_tasks,
-                    seed,
-                    &outcome,
-                    started,
-                    build_secs,
-                    simulate_secs,
-                );
+        },
+        |r, options| {
+            // The lead time comes from the journal via analytics,
+            // cross-checking the simulator's own counters.
+            let journal = options
+                .journal
+                .as_ref()
+                .expect("every cascade run journals");
+            let timeline = aimes_analytics::timeline::reconstruct(&journal.borrow())
+                .expect("completed runs leave a well-formed journal");
+            (r, timeline)
+        },
+    );
+
+    let points: Vec<SweepPoint> = sweep
+        .arms
+        .iter()
+        .zip(&results.arms)
+        .map(|(arm, out)| {
+            let runs = &out.runs;
+            let leads: Vec<f64> = runs
+                .iter()
+                .filter_map(|(_, tl)| tl.evacuation_lead_secs)
+                .collect();
+            SweepPoint {
+                arm: arm.label.clone(),
+                reps: opts.reps,
+                completed: runs.len(),
+                ttc_mean_secs: mean(runs, |(r, _)| r.breakdown.ttc.as_secs()),
+                wasted_core_hours_mean: mean(runs, |(r, _)| r.wasted_core_hours),
+                salvaged_core_hours_mean: mean(runs, |(r, _)| r.salvaged_core_hours),
+                evacuation_lead_mean_secs: (!leads.is_empty()).then(|| mean(&leads, |l| *l)),
+                domain_alarms: total(runs, |(_, tl)| u64::from(tl.domain_alarms)),
+                evacuations: total(runs, |(_, tl)| u64::from(tl.evacuations)),
+                checkpoints: total(runs, |(_, tl)| u64::from(tl.checkpoints)),
+                resumes: total(runs, |(_, tl)| u64::from(tl.resumes)),
+                errors: out.errors.clone(),
             }
-            if let Some(progress) = progress {
-                progress.tick(outcome.is_err());
-            }
-            let outcome = outcome
-                .map(|r| {
-                    // The lead time comes from the journal via analytics,
-                    // cross-checking the simulator's own counters.
-                    let tl = aimes_analytics::timeline::reconstruct(&journal.borrow())
-                        .expect("completed runs leave a well-formed journal");
-                    CascadeRun {
-                        ttc: r.breakdown.ttc.as_secs(),
-                        wasted: r.wasted_core_hours,
-                        salvaged: r.salvaged_core_hours,
-                        lead: tl.evacuation_lead_secs,
-                        domain_alarms: tl.domain_alarms as u64,
-                        evacuations: tl.evacuations as u64,
-                        checkpoints: tl.checkpoints as u64,
-                        resumes: tl.resumes as u64,
-                    }
-                })
-                .map_err(|e| (error_class(&e), e.to_string()));
-            (seed, outcome)
         })
         .collect();
-    obs.close();
-
-    let mut rows = Vec::new();
-    let mut points: Vec<SweepPoint> = Vec::new();
-    let mut arm_errors = 0usize;
-    let mut outcome_iter = outcomes.into_iter();
-    for arm in arms {
-        let mut ttcs = Vec::new();
-        let mut wasted = Vec::new();
-        let mut salvaged = Vec::new();
-        let mut leads = Vec::new();
-        let mut domain_alarms = 0u64;
-        let mut evacuations = 0u64;
-        let mut checkpoints = 0u64;
-        let mut resumes = 0u64;
-        let mut errors: std::collections::BTreeMap<String, usize> =
-            std::collections::BTreeMap::new();
-        for rep in 0..opts.reps {
-            let (seed, out) = outcome_iter.next().expect("one outcome per job");
-            match out {
-                Ok(r) => {
-                    ttcs.push(r.ttc);
-                    wasted.push(r.wasted);
-                    salvaged.push(r.salvaged);
-                    if let Some(lead) = r.lead {
-                        leads.push(lead);
-                    }
-                    domain_alarms += r.domain_alarms;
-                    evacuations += r.evacuations;
-                    checkpoints += r.checkpoints;
-                    resumes += r.resumes;
-                }
-                Err((class, e)) => {
-                    *errors.entry(class.to_string()).or_insert(0) += 1;
-                    arm_errors += 1;
-                    report_arm_failure("ablation-cascade", arm, rep, seed, &e);
-                }
-            }
-        }
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
-        let lead_mean = (!leads.is_empty()).then(|| mean(&leads));
-        rows.push(vec![
-            arm.to_string(),
-            format!("{}/{}", ttcs.len(), opts.reps),
-            if ttcs.is_empty() {
-                "-".into()
-            } else {
-                format!("{:.0}", mean(&ttcs))
-            },
-            format!("{:.2}", mean(&wasted)),
-            format!("{:.2}", mean(&salvaged)),
-            lead_mean.map_or("-".into(), |l| format!("{l:.0}")),
-            domain_alarms.to_string(),
-            evacuations.to_string(),
-            checkpoints.to_string(),
-            resumes.to_string(),
-        ]);
-        points.push(SweepPoint {
-            arm: arm.to_string(),
-            reps: opts.reps,
-            completed: ttcs.len(),
-            ttc_mean_secs: mean(&ttcs),
-            wasted_core_hours_mean: mean(&wasted),
-            salvaged_core_hours_mean: mean(&salvaged),
-            evacuation_lead_mean_secs: lead_mean,
-            domain_alarms,
-            evacuations,
-            checkpoints,
-            resumes,
-            errors,
-        });
-    }
-    println!(
-        "{}",
-        report::markdown_table(
-            &[
-                "Arm",
-                "Completed",
-                "TTC mean(s)",
-                "Wasted(ch)",
-                "Salvaged(ch)",
-                "EvacLead(s)",
-                "Alarms",
-                "Evacuations",
-                "Checkpoints",
-                "Resumes"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "\n### JSON\n```json\n{}\n```",
-        serde_json::to_string_pretty(&points).expect("sweep points serialize")
-    );
-    if opts.fail_on_error && arm_errors > 0 {
-        exit_fail_on_error("ablation-cascade", arm_errors);
-    }
+    let columns: [Column<SweepPoint>; 10] = [
+        ("Arm", &|p| p.arm.clone()),
+        ("Completed", &|p| format!("{}/{}", p.completed, p.reps)),
+        ("TTC mean(s)", &|p| ttc_cell(p.completed, p.ttc_mean_secs)),
+        ("Wasted(ch)", &|p| {
+            format!("{:.2}", p.wasted_core_hours_mean)
+        }),
+        ("Salvaged(ch)", &|p| {
+            format!("{:.2}", p.salvaged_core_hours_mean)
+        }),
+        ("EvacLead(s)", &|p| {
+            p.evacuation_lead_mean_secs
+                .map_or("-".into(), |l| format!("{l:.0}"))
+        }),
+        ("Alarms", &|p| p.domain_alarms.to_string()),
+        ("Evacuations", &|p| p.evacuations.to_string()),
+        ("Checkpoints", &|p| p.checkpoints.to_string()),
+        ("Resumes", &|p| p.resumes.to_string()),
+    ];
+    results.finish(opts.fail_on_error, &columns, &points, json(&points), None);
 }
 
 /// Information-degradation ablation: the same workload executed under
@@ -1604,8 +1156,7 @@ fn ablation_cascade(opts: &Options) {
 /// counters come through the MetricsRegistry (`bundle.info.*`), so the
 /// same numbers land in the Perfetto trace when telemetry is exported.
 /// With `--fail-on-error`, any failed run exits non-zero — degradation
-/// must slow runs down, never kill them. `--dump-dir` routes flight-
-/// recorder snapshots of any failure there for CI artifact collection.
+/// must slow runs down, never kill them.
 fn ablation_info(opts: &Options) {
     use aimes_bundle::InfoConfig;
     use aimes_fault::{FaultSpec, InfoBlackoutSpec, InfoFaultSpec};
@@ -1620,19 +1171,14 @@ fn ablation_info(opts: &Options) {
         ttc_max_secs: f64,
         info_fallbacks: u64,
         stale_decision_secs: f64,
-        counters: std::collections::BTreeMap<String, u64>,
+        counters: BTreeMap<String, u64>,
     }
 
     println!("## Ablation — degraded-information execution (late binding, 3 pilots)\n");
     let n_tasks = if opts.quick { 32 } else { 128 };
-    let app = bag_of_tasks(
-        "info",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
-    );
+    let app = bag_15min("info", n_tasks);
     let strategy = paper::late_strategy(3);
+    let testbed = paper::testbed();
     let streaming = InfoConfig {
         base_refresh_secs: 300.0,
         ..InfoConfig::default()
@@ -1660,216 +1206,114 @@ fn ablation_info(opts: &Options) {
         },
         ..FaultSpec::none()
     };
-    let arms: Vec<(&str, InfoConfig, Option<FaultSpec>)> = vec![
-        ("oracle", InfoConfig::default(), None),
-        ("streaming", streaming.clone(), None),
-        ("degraded", streaming.clone(), Some(degraded_faults)),
-        ("blackout", streaming, Some(blackout_faults)),
-    ];
+    // One seed stream for every arm: identical workload, background load,
+    // and submission instant — only the information regime moves.
+    let sweep = Sweep {
+        name: "ablation-info",
+        scenario: Scenario {
+            resources: &testbed,
+            app: &app,
+            strategy: &strategy,
+        },
+        arms: [
+            ("oracle", InfoConfig::default(), None),
+            ("streaming", streaming.clone(), None),
+            ("degraded", streaming.clone(), Some(degraded_faults)),
+            ("blackout", streaming, Some(blackout_faults)),
+        ]
+        .into_iter()
+        .map(|(label, info, faults)| Arm::on("info", label, (info, faults)))
+        .collect(),
+        reps: opts.reps,
+        dump_dir: opts.dump_dir.as_deref(),
+    };
+    // Each run builds its own Telemetry; the `bundle.info.*` counters come
+    // back in the run's metrics summary.
+    let results = sweep.run(
+        opts,
+        |(info, faults)| RunOptions {
+            faults: faults.clone(),
+            info: info.clone(),
+            telemetry: Some(Telemetry::new()),
+            ..Default::default()
+        },
+        |r, _| r,
+    );
 
-    // One (arm × rep) run on the pool; each run builds its own Telemetry
-    // inside the closure and hands back only the `bundle.info.*` counter
-    // slice. Aggregation and printing stay sequential in job order, so
-    // output is byte-identical at any --jobs.
-    struct InfoRun {
-        ttc: f64,
-        info_fallbacks: u64,
-        stale_secs: f64,
-        counters: Vec<(String, u64)>,
-    }
-    let reps_n = opts.reps;
-    let jobs: Vec<(usize, usize, usize)> = (0..arms.len())
-        .flat_map(|ai| (0..reps_n).map(move |rep| (ai, rep)))
-        .enumerate()
-        .map(|(job, (ai, rep))| (job, ai, rep))
-        .collect();
-    let obs = Observatory::open(opts, "ablation-info", jobs.len());
-    let (sender, progress, profile) = obs.handles();
-    let outcomes: Vec<(u64, Result<InfoRun, String>)> = jobs
-        .par_iter()
-        .map(|&(job, ai, rep)| {
-            let started = sender.map_or(0.0, |s| s.elapsed_secs());
-            let t_build = std::time::Instant::now();
-            let (arm, info, faults) = &arms[ai];
-            // Same seed across arms: identical workload, background load,
-            // and submission instant — only the information regime moves.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed("info", rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-            let telemetry = Telemetry::new();
-            let profiler = profile.map(|_| Profiler::new());
-            let options = RunOptions {
-                seed,
-                submit_at,
-                faults: faults.clone(),
-                info: info.clone(),
-                telemetry: Some(telemetry.clone()),
-                recorder_dump_dir: opts.dump_dir.clone(),
-                run_tag: Some(format!("info-{arm}-r{rep}")),
-                profiler: profiler.clone(),
-                ..Default::default()
-            };
-            let testbed = paper::testbed();
-            let build_secs = t_build.elapsed().as_secs_f64();
-            let t_sim = std::time::Instant::now();
-            let outcome = run_application(&testbed, &app, &strategy, &options);
-            let simulate_secs = t_sim.elapsed().as_secs_f64();
-            if let (Some(acc), Some(prof)) = (profile, &profiler) {
-                acc.record(job as u64, prof.report());
+    let points: Vec<InfoPoint> = sweep
+        .arms
+        .iter()
+        .zip(&results.arms)
+        .map(|(arm, out)| {
+            let runs = &out.runs;
+            let ttcs: Vec<f64> = runs.iter().map(|r| r.breakdown.ttc.as_secs()).collect();
+            let (mean, max) = Summary::of(&ttcs).map_or((0.0, 0.0), |s| (s.mean, s.max));
+            let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+            for (name, v) in runs
+                .iter()
+                .flat_map(|r| &r.metrics)
+                .flat_map(|m| &m.counters)
+            {
+                if let Some(short) = name.strip_prefix("bundle.info.") {
+                    *counters.entry(short.to_string()).or_insert(0) += v;
+                }
             }
-            if let Some(sender) = sender {
-                sender.record_outcome(
-                    job as u64,
-                    "ablation-info",
-                    arm,
-                    rep as u64,
-                    n_tasks,
-                    seed,
-                    &outcome,
-                    started,
-                    build_secs,
-                    simulate_secs,
-                );
+            InfoPoint {
+                arm: arm.label.clone(),
+                reps: opts.reps,
+                completed: runs.len(),
+                ttc_mean_secs: mean,
+                ttc_max_secs: max,
+                info_fallbacks: total(runs, |r| r.info_fallbacks),
+                stale_decision_secs: runs.iter().fold(0.0, |acc, r| acc + r.stale_decision_secs),
+                counters,
             }
-            if let Some(progress) = progress {
-                progress.tick(outcome.is_err());
-            }
-            let outcome = outcome
-                .map(|r| InfoRun {
-                    ttc: r.breakdown.ttc.as_secs(),
-                    info_fallbacks: r.info_fallbacks,
-                    stale_secs: r.stale_decision_secs,
-                    counters: r
-                        .metrics
-                        .iter()
-                        .flat_map(|summary| summary.counters.iter())
-                        .filter_map(|(name, v)| {
-                            name.strip_prefix("bundle.info.")
-                                .map(|short| (short.to_string(), *v))
-                        })
-                        .collect(),
-                })
-                .map_err(|e| e.to_string());
-            (seed, outcome)
         })
         .collect();
-    obs.close();
-
-    let mut rows = Vec::new();
-    let mut points = Vec::new();
-    let mut failures = 0usize;
-    let mut outcome_iter = outcomes.into_iter();
-    for (arm, _, _) in &arms {
-        let mut ttcs = Vec::new();
-        let mut info_fallbacks = 0u64;
-        let mut stale_secs = 0.0f64;
-        let mut counters: std::collections::BTreeMap<String, u64> =
-            std::collections::BTreeMap::new();
-        for rep in 0..opts.reps {
-            let (seed, out) = outcome_iter.next().expect("one outcome per job");
-            match out {
-                Ok(r) => {
-                    ttcs.push(r.ttc);
-                    info_fallbacks += r.info_fallbacks;
-                    stale_secs += r.stale_secs;
-                    for (short, v) in r.counters {
-                        *counters.entry(short).or_insert(0) += v;
-                    }
-                }
-                Err(e) => {
-                    failures += 1;
-                    report_arm_failure("ablation-info", arm, rep, seed, &e);
-                }
-            }
-        }
-        let (mean, max) = match Summary::of(&ttcs) {
-            Some(s) => (s.mean, s.max),
-            None => (0.0, 0.0),
-        };
-        let c = |k: &str| counters.get(k).copied().unwrap_or(0);
-        rows.push(vec![
-            arm.to_string(),
-            format!("{}/{}", ttcs.len(), opts.reps),
-            format!("{mean:.0}"),
-            format!("{max:.0}"),
-            c("fresh").to_string(),
-            c("cache_hit").to_string(),
-            (c("corrupt") + c("unavailable")).to_string(),
-            c("fallback_stale_cache").to_string(),
-            c("fallback_predictor").to_string(),
-            c("fallback_static").to_string(),
-            info_fallbacks.to_string(),
-            format!("{stale_secs:.0}"),
-        ]);
-        points.push(InfoPoint {
-            arm: arm.to_string(),
-            reps: opts.reps,
-            completed: ttcs.len(),
-            ttc_mean_secs: mean,
-            ttc_max_secs: max,
-            info_fallbacks,
-            stale_decision_secs: stale_secs,
-            counters,
-        });
-    }
-    println!(
-        "{}",
-        report::markdown_table(
-            &[
-                "Arm",
-                "Completed",
-                "TTC mean(s)",
-                "TTC max(s)",
-                "Fresh",
-                "CacheHit",
-                "Degraded",
-                "StaleFB",
-                "PredFB",
-                "StaticFB",
-                "InfoFB",
-                "Stale(s)"
-            ],
-            &rows
-        )
+    let c = |p: &InfoPoint, k: &str| p.counters.get(k).copied().unwrap_or(0);
+    let columns: [Column<InfoPoint>; 12] = [
+        ("Arm", &|p| p.arm.clone()),
+        ("Completed", &|p| format!("{}/{}", p.completed, p.reps)),
+        ("TTC mean(s)", &|p| format!("{:.0}", p.ttc_mean_secs)),
+        ("TTC max(s)", &|p| format!("{:.0}", p.ttc_max_secs)),
+        ("Fresh", &|p| c(p, "fresh").to_string()),
+        ("CacheHit", &|p| c(p, "cache_hit").to_string()),
+        ("Degraded", &|p| {
+            (c(p, "corrupt") + c(p, "unavailable")).to_string()
+        }),
+        ("StaleFB", &|p| c(p, "fallback_stale_cache").to_string()),
+        ("PredFB", &|p| c(p, "fallback_predictor").to_string()),
+        ("StaticFB", &|p| c(p, "fallback_static").to_string()),
+        ("InfoFB", &|p| p.info_fallbacks.to_string()),
+        ("Stale(s)", &|p| format!("{:.0}", p.stale_decision_secs)),
+    ];
+    results.finish(
+        opts.fail_on_error,
+        &columns,
+        &points,
+        json(&points),
+        Some(
+            "Every arm must complete every run: degraded information descends \
+             the fallback ladder (stale cache, predictor, static floor) and \
+             slows selection down, but never panics or loses work.",
+        ),
     );
-    println!(
-        "\n### JSON\n```json\n{}\n```",
-        serde_json::to_string_pretty(&points).expect("info points serialize")
-    );
-    println!(
-        "\nEvery arm must complete every run: degraded information descends \
-         the fallback ladder (stale cache, predictor, static floor) and \
-         slows selection down, but never panics or loses work."
-    );
-    if opts.fail_on_error && failures > 0 {
-        exit_fail_on_error("ablation-info", failures);
-    }
 }
 
 /// Detection-latency ablation: how the failure detector's tuning trades
 /// detection delay Td against false positives and end-to-end TTC, scored
-/// against the PR 1 oracle that reacts at the injection instant. The
+/// against the oracle that reacts at the injection instant. The
 /// scenario is pinned — a permanent outage takes down the only selected
 /// resource shortly after the pilots start — so every arm recovers from
-/// the same loss and differs only in how long it takes to notice.
+/// the same loss and differs only in how long it takes to notice. With
+/// `--fail-on-error`, any failed run exits non-zero.
 fn ablation_detection(opts: &Options) {
     use aimes_fault::{DetectionSpec, FaultSpec, OutageKind, OutageSpec, PhiSpec, RecoveryPolicy};
 
     println!("## Ablation — failure-detection latency vs oracle recovery\n");
     let n_tasks = if opts.quick { 16 } else { 48 };
-    let pool: Vec<aimes_cluster::ClusterConfig> = ["da", "db"]
-        .iter()
-        .map(|n| aimes_cluster::ClusterConfig::test(n, 4096))
-        .collect();
-    let app = bag_of_tasks(
-        "detection",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
-    );
+    let pool = test_pool(&["da", "db"]);
+    let app = bag_15min("detection", n_tasks);
     let mut strategy = ExecutionStrategy::paper_late(1);
     // Pin the initial placement so the permanent loss always hits the
     // resource actually in use; recovery must re-plan onto the survivor.
@@ -1891,174 +1335,90 @@ fn ablation_detection(opts: &Options) {
         declare_after_secs: declare,
         ..DetectionSpec::default()
     };
-    let configs: Vec<(&str, Option<DetectionSpec>)> = vec![
-        ("oracle", None),
-        ("hb30/declare120", Some(timeout(30.0, 75.0, 120.0))),
-        ("hb60/declare300", Some(DetectionSpec::default())),
-        ("hb120/declare600", Some(timeout(120.0, 300.0, 600.0))),
-        (
-            "phi(1,2)/w16",
-            Some(DetectionSpec {
-                phi: Some(PhiSpec {
-                    suspect_phi: 1.0,
-                    declare_phi: 2.0,
-                    window: 16,
-                }),
-                ..DetectionSpec::default()
-            }),
-        ),
-    ];
-
-    // One (detector-config × rep) run on the pool. Failed runs don't
-    // count toward the table means, but — unlike the pre-observatory
-    // version that swallowed them — they now print the shared failure
-    // line and land in the campaign manifest. Aggregation in job order
-    // keeps the output byte-identical at any --jobs.
-    struct DetectionRun {
-        ttc: f64,
-        tr: f64,
-        td: f64,
-        mean_td: f64,
-        replans: u64,
-        false_suspicions: u64,
-    }
-    let reps_n = opts.reps;
-    let jobs: Vec<(usize, usize, usize)> = (0..configs.len())
-        .flat_map(|ci| (0..reps_n).map(move |rep| (ci, rep)))
-        .enumerate()
-        .map(|(job, (ci, rep))| (job, ci, rep))
-        .collect();
-    let obs = Observatory::open(opts, "ablation-detection", jobs.len());
-    let (sender, progress, profile) = obs.handles();
-    let outcomes: Vec<(u64, Result<DetectionRun, String>)> = jobs
-        .par_iter()
-        .map(|&(job, ci, rep)| {
-            let started = sender.map_or(0.0, |s| s.elapsed_secs());
-            let t_build = std::time::Instant::now();
-            let (label, det) = &configs[ci];
-            let recovery = RecoveryPolicy {
+    let phi = DetectionSpec {
+        phi: Some(PhiSpec {
+            suspect_phi: 1.0,
+            declare_phi: 2.0,
+            window: 16,
+        }),
+        ..DetectionSpec::default()
+    };
+    // One seed stream for every detector: the paired comparison isolates
+    // detector tuning from schedule noise.
+    let sweep = Sweep {
+        name: "ablation-detection",
+        scenario: Scenario {
+            resources: &pool,
+            app: &app,
+            strategy: &strategy,
+        },
+        arms: [
+            ("oracle", None),
+            ("hb30/declare120", Some(timeout(30.0, 75.0, 120.0))),
+            ("hb60/declare300", Some(DetectionSpec::default())),
+            ("hb120/declare600", Some(timeout(120.0, 300.0, 600.0))),
+            ("phi(1,2)/w16", Some(phi)),
+        ]
+        .into_iter()
+        .map(|(label, detection)| Arm::on("detection", label, detection))
+        .collect(),
+        reps: opts.reps,
+        dump_dir: opts.dump_dir.as_deref(),
+    };
+    let results = sweep.run(
+        opts,
+        |det| RunOptions {
+            faults: Some(faults.clone()),
+            recovery: Some(RecoveryPolicy {
                 detection: det.clone(),
                 ..RecoveryPolicy::default()
-            };
-            // Same seed across configs: the paired comparison isolates
-            // detector tuning from schedule noise.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed("detection", rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-            let profiler = profile.map(|_| Profiler::new());
-            let options = RunOptions {
-                seed,
-                submit_at,
-                faults: Some(faults.clone()),
-                recovery: Some(recovery),
-                run_tag: Some(format!("detection-{label}-r{rep}")),
-                profiler: profiler.clone(),
-                ..Default::default()
-            };
-            let build_secs = t_build.elapsed().as_secs_f64();
-            let t_sim = std::time::Instant::now();
-            let outcome = run_application(&pool, &app, &strategy, &options);
-            let simulate_secs = t_sim.elapsed().as_secs_f64();
-            if let (Some(acc), Some(prof)) = (profile, &profiler) {
-                acc.record(job as u64, prof.report());
-            }
-            if let Some(sender) = sender {
-                sender.record_outcome(
-                    job as u64,
-                    "ablation-detection",
-                    label,
-                    rep as u64,
-                    n_tasks,
-                    seed,
-                    &outcome,
-                    started,
-                    build_secs,
-                    simulate_secs,
-                );
-            }
-            if let Some(progress) = progress {
-                progress.tick(outcome.is_err());
-            }
-            let outcome = outcome
-                .map(|r| DetectionRun {
-                    ttc: r.breakdown.ttc.as_secs(),
-                    tr: r.breakdown.tr.as_secs(),
-                    td: r.breakdown.td.as_secs(),
-                    mean_td: r.mean_detection_secs,
-                    replans: r.replans,
-                    false_suspicions: r.false_suspicions,
-                })
-                .map_err(|e| e.to_string());
-            (seed, outcome)
-        })
-        .collect();
-    obs.close();
-
-    let mut rows = Vec::new();
-    let mut outcome_iter = outcomes.into_iter();
-    for (label, _) in &configs {
-        let mut ttcs = Vec::new();
-        let mut trs = Vec::new();
-        let mut tds = Vec::new();
-        let mut mean_tds = Vec::new();
-        let mut replans = 0u64;
-        let mut false_suspicions = 0u64;
-        let mut completed = 0usize;
-        for rep in 0..opts.reps {
-            let (seed, out) = outcome_iter.next().expect("one outcome per job");
-            match out {
-                Ok(r) => {
-                    completed += 1;
-                    ttcs.push(r.ttc);
-                    trs.push(r.tr);
-                    tds.push(r.td);
-                    mean_tds.push(r.mean_td);
-                    replans += r.replans;
-                    false_suspicions += r.false_suspicions;
-                }
-                Err(e) => report_arm_failure("ablation-detection", label, rep, seed, &e),
-            }
-        }
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
-        rows.push(vec![
-            label.to_string(),
-            format!("{completed}/{}", opts.reps),
-            format!("{:.0}", mean(&ttcs)),
-            format!("{:.0}", mean(&trs)),
-            format!("{:.0}", mean(&tds)),
-            format!("{:.0}", mean(&mean_tds)),
-            replans.to_string(),
-            false_suspicions.to_string(),
-        ]);
-    }
-    println!(
-        "{}",
-        report::markdown_table(
-            &[
-                "Detector",
-                "Completed",
-                "TTC mean(s)",
-                "Tr mean(s)",
-                "Td mean(s)",
-                "MeanTd(s)",
-                "Replans",
-                "FalseSusp"
-            ],
-            &rows
-        )
+            }),
+            ..Default::default()
+        },
+        |r, _| r,
     );
-    println!(
-        "\nThe oracle row reacts at the injection instant (Td = 0); every \
-         detector row pays a Td set by its heartbeat period and declare \
-         timeout before the same re-planning path runs."
+
+    type Row<'a> = (&'a str, &'a [RunResult]);
+    let points: Vec<Row> = sweep
+        .arms
+        .iter()
+        .zip(&results.arms)
+        .map(|(arm, out)| (arm.label.as_str(), out.runs.as_slice()))
+        .collect();
+    let columns: [Column<Row>; 8] = [
+        ("Detector", &|(label, _)| label.to_string()),
+        ("Completed", &|(_, runs)| {
+            format!("{}/{}", runs.len(), opts.reps)
+        }),
+        ("TTC mean(s)", &|(_, runs)| {
+            format!("{:.0}", mean(runs, |r| r.breakdown.ttc.as_secs()))
+        }),
+        ("Tr mean(s)", &|(_, runs)| {
+            format!("{:.0}", mean(runs, |r| r.breakdown.tr.as_secs()))
+        }),
+        ("Td mean(s)", &|(_, runs)| {
+            format!("{:.0}", mean(runs, |r| r.breakdown.td.as_secs()))
+        }),
+        ("MeanTd(s)", &|(_, runs)| {
+            format!("{:.0}", mean(runs, |r| r.mean_detection_secs))
+        }),
+        ("Replans", &|(_, runs)| {
+            total(runs, |r| r.replans).to_string()
+        }),
+        ("FalseSusp", &|(_, runs)| {
+            total(runs, |r| r.false_suspicions).to_string()
+        }),
+    ];
+    results.finish(
+        opts.fail_on_error,
+        &columns,
+        &points,
+        None,
+        Some(
+            "The oracle row reacts at the injection instant (Td = 0); every \
+             detector row pays a Td set by its heartbeat period and declare \
+             timeout before the same re-planning path runs.",
+        ),
     );
 }
 
@@ -2177,7 +1537,6 @@ fn ablation_predictor(opts: &Options) {
 /// the full event trace.
 fn telemetry_run(opts: &Options) {
     use aimes_sim::{Telemetry, Tracer};
-    use std::io::Write as _;
 
     let n_tasks = if opts.quick { 16 } else { 64 };
     let app = aimes_skeleton::paper_bag(n_tasks, TaskDurationSpec::Uniform15Min);
@@ -2215,36 +1574,18 @@ fn telemetry_run(opts: &Options) {
     println!("{}", report::metrics_table(summary));
 
     if let Some(dir) = &opts.emit_metrics {
-        std::fs::create_dir_all(dir).expect("create --emit-metrics dir");
-        let file = |name: &str| {
-            std::io::BufWriter::new(
-                std::fs::File::create(dir.join(name)).expect("create metrics file"),
-            )
-        };
-        let mut trace = file("trace.json");
-        telemetry
-            .write_chrome_trace(&mut trace)
-            .expect("write trace.json");
-        let mut csv = file("metrics.csv");
-        telemetry
-            .write_metrics_csv(&mut csv)
-            .expect("write metrics.csv");
-        let mut json = file("metrics.json");
-        json.write_all(
-            serde_json::to_string_pretty(summary)
-                .expect("summary serializes")
-                .as_bytes(),
-        )
-        .expect("write metrics.json");
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| cli::file_error("write", dir, e));
+        cli::write_with(&dir.join("trace.json"), |w| telemetry.write_chrome_trace(w));
+        cli::write_with(&dir.join("metrics.csv"), |w| telemetry.write_metrics_csv(w));
+        let json = serde_json::to_string_pretty(summary).expect("summary serializes");
+        cli::write(&dir.join("metrics.json"), json);
         eprintln!(
             "wrote trace.json, metrics.json, metrics.csv to {}",
             dir.display()
         );
     }
     if let Some(path) = &opts.trace_out {
-        let mut out =
-            std::io::BufWriter::new(std::fs::File::create(path).expect("create --trace-out file"));
-        tracer.write_json(&mut out).expect("stream event trace");
+        cli::write_with(path, |w| tracer.write_json(w));
         eprintln!("wrote event trace to {}", path.display());
     }
 }
@@ -2267,7 +1608,7 @@ fn journal_cmd(opts: &Options) {
     let jsonl = journal.to_jsonl();
     match &opts.out {
         Some(path) => {
-            std::fs::write(path, &jsonl).expect("write journal file");
+            cli::write(path, &jsonl);
             eprintln!("wrote {} entries to {}", journal.len(), path.display());
         }
         None => print!("{jsonl}"),
@@ -2281,7 +1622,7 @@ fn analyze_cmd(opts: &Options) {
         eprintln!("usage: experiments analyze <journal.jsonl> [--epsilon E] [--out report.json]");
         std::process::exit(2);
     };
-    let text = std::fs::read_to_string(path).expect("read journal file");
+    let text = cli::read(path);
     let report = match aimes_analytics::analyze_jsonl(&text, opts.epsilon) {
         Ok(r) => r,
         Err(e) => {
@@ -2291,11 +1632,10 @@ fn analyze_cmd(opts: &Options) {
     };
     println!("{}", aimes_analytics::render::render(&report));
     if let Some(out) = &opts.out {
-        std::fs::write(
+        cli::write(
             out,
             serde_json::to_string_pretty(&report).expect("report serializes"),
-        )
-        .expect("write analysis file");
+        );
         eprintln!("wrote analysis to {}", out.display());
     }
     if !report.closure_holds() {
@@ -2307,7 +1647,7 @@ fn analyze_cmd(opts: &Options) {
 /// Load an `analyze --out` JSON, or fall back to treating the file as a
 /// journal and analyzing it on the spot.
 fn load_analysis(path: &std::path::Path, epsilon: f64) -> aimes_analytics::AnalysisReport {
-    let text = std::fs::read_to_string(path).expect("read analysis/journal file");
+    let text = cli::read(path);
     if let Ok(report) = serde_json::from_str::<aimes_analytics::AnalysisReport>(&text) {
         if report.schema == aimes_analytics::SCHEMA {
             return report;
@@ -2353,7 +1693,7 @@ fn campaign_report_cmd(opts: &Options) {
         eprintln!("usage: experiments campaign-report <campaign.jsonl>");
         std::process::exit(2);
     };
-    let text = std::fs::read_to_string(path).expect("read campaign manifest");
+    let text = cli::read(path);
     let manifest = match aimes::campaign::read_manifest(&text) {
         Ok(m) => m,
         Err(e) => {
@@ -2552,18 +1892,8 @@ fn profile_cmd(opts: &Options) {
     let total_wall = wall_started.elapsed().as_secs_f64();
     let mut report = prof.report();
     report.engine = engine;
-    let delta = heap::snapshot().since(&alloc_before);
     let events = engine.events_processed;
-    let alloc = AllocSection {
-        allocs: delta.allocs,
-        bytes_allocated: delta.bytes_allocated,
-        peak_bytes: delta.peak_bytes,
-        allocs_per_event: if events > 0 {
-            delta.allocs as f64 / events as f64
-        } else {
-            0.0
-        },
-    };
+    let alloc = alloc_section(&alloc_before, events);
     let doc = ProfileDoc::build(
         "profile",
         opts.seed,
@@ -2589,27 +1919,17 @@ fn profile_cmd(opts: &Options) {
         100.0 * coverage,
         alloc.allocs_per_event
     );
-    let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
     match opts.profile_out.as_ref().or(opts.out.as_ref()) {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("cannot write profile doc {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!("wrote profile doc {}", path.display());
+        Some(path) => write_profile_doc(path, &doc),
+        None => {
+            let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
+            println!("\n### JSON\n```json\n{json}\n```");
         }
-        None => println!("\n### JSON\n```json\n{json}\n```"),
     }
 }
 
 fn main() {
-    let (command, opts) = parse_args();
-    if let Some(jobs) = opts.jobs {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build_global()
-            .expect("configure worker pool");
-    }
+    let (command, opts) = options();
     match command.as_str() {
         "table1" => table1(),
         "fig2" => fig2(&opts),
@@ -2675,12 +1995,3 @@ fn main() {
         }
     }
 }
-
-// The paper-sizes helper is exercised by `fig2` by default; keep the
-// import used in all configurations.
-#[allow(unused_imports)]
-use paper_task_counts as _paper_sizes;
-#[allow(unused_imports)]
-use ExecutionStrategy as _Strategy;
-#[allow(unused_imports)]
-use TaskDurationSpec as _Spec;

@@ -5,6 +5,16 @@
 //! --bin experiments -- help`); the Criterion benches measure the
 //! simulation substrate itself (event engine, batch scheduler, end-to-end
 //! middleware runs).
+//!
+//! Both binaries share [`cli`] (one flag loop, one way to fail) and
+//! [`Observatory`] (a campaign's manifest, progress line and merged
+//! profile); the `experiments` chaos sweeps share one [`sweep`] driver.
+
+pub mod cli;
+pub mod observatory;
+pub mod sweep;
+
+pub use observatory::Observatory;
 
 /// Default repetitions per (experiment, size) point for figure-quality
 /// output. The paper ran "more than 20,000 runs" over a year; eight
