@@ -12,6 +12,7 @@
 //! or reinforcement.
 
 use crate::middleware::RunOptions;
+use crate::teardown::RunTeardown;
 use crate::ttc::{decompose, TtcBreakdown};
 use aimes_bundle::{Bundle, QueryMode};
 use aimes_cluster::{Cluster, ClusterConfig};
@@ -116,8 +117,9 @@ pub fn run_adaptive(
         &mut selection_rng,
     )?;
 
-    let pm = PilotManager::new(session);
+    let pm = PilotManager::new(session.clone());
     let um = UnitManager::new(pm.clone(), plan.um_config.clone());
+    let _teardown = RunTeardown::new(&pm, &um, &session);
     let finished: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
     {
         let pm2 = pm.clone();

@@ -32,6 +32,7 @@ pub mod profile;
 pub mod recorder;
 pub mod report;
 pub mod stats;
+mod teardown;
 pub mod ttc;
 
 pub use adaptive::{run_adaptive, AdaptiveConfig, AdaptiveRunResult};
@@ -41,6 +42,6 @@ pub use experiment::{ExperimentConfig, ExperimentPoint, ExperimentResult};
 pub use journal::{JournalEntry, JournalEvent, RunJournal};
 pub use middleware::{resume_application, run_application, RunError, RunOptions, RunResult};
 pub use profile::{ProfileAccumulator, ProfileDoc, TimingInputs, PROFILE_SCHEMA};
-pub use recorder::{FlightRecorder, RecorderSnapshot, DEFAULT_RECORDER_CAPACITY};
+pub use recorder::{RecorderSnapshot, DEFAULT_RECORDER_CAPACITY};
 pub use stats::Summary;
 pub use ttc::TtcBreakdown;

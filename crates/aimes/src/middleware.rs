@@ -8,7 +8,8 @@
 //! application completes "so as not to waste resources".
 
 use crate::journal::{JournalEvent, RunJournal};
-use crate::recorder::{FlightRecorder, DEFAULT_RECORDER_CAPACITY};
+use crate::recorder::RunLog;
+use crate::teardown::RunTeardown;
 use crate::ttc::{decompose, interval_union, salvage_split, TtcBreakdown};
 use aimes_bundle::{Bundle, InfoConfig, InfoDisposition};
 use aimes_cluster::{Cluster, ClusterConfig};
@@ -77,9 +78,6 @@ pub struct RunOptions {
     /// byte-identical to a build without the plane. Validated at run
     /// start ([`RunError::InvalidInfoConfig`]).
     pub info: InfoConfig,
-    /// Flight-recorder ring capacity (always on; near-zero cost).
-    /// Validated at run start ([`RunError::InvalidRecorderConfig`]).
-    pub recorder_capacity: usize,
     /// Where to write checksummed flight-recorder snapshots when the run
     /// dies (any [`RunError`] return) or a pilot is Declared-Dead. `None`
     /// keeps the recorder purely in memory.
@@ -115,7 +113,6 @@ impl Default for RunOptions {
             telemetry: None,
             tracer: None,
             info: InfoConfig::default(),
-            recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             recorder_dump_dir: None,
             run_tag: None,
             profiler: None,
@@ -140,9 +137,6 @@ pub enum RunError {
     /// running it would serve answers from a ladder whose rungs are out
     /// of order.
     InvalidInfoConfig(String),
-    /// The flight-recorder config is unusable (zero capacity): the
-    /// recorder would silently retain nothing.
-    InvalidRecorderConfig(String),
     /// The recovery policy is self-contradictory (inverted backoff cap,
     /// zero blacklist threshold, empty alarm window); running it would
     /// silently clamp or disable what the caller declared.
@@ -187,9 +181,6 @@ impl std::fmt::Display for RunError {
             RunError::Skeleton(msg) => write!(f, "skeleton generation failed: {msg}"),
             RunError::InvalidFaultSpec(msg) => write!(f, "invalid fault spec: {msg}"),
             RunError::InvalidInfoConfig(msg) => write!(f, "invalid info config: {msg}"),
-            RunError::InvalidRecorderConfig(msg) => {
-                write!(f, "invalid flight-recorder config: {msg}")
-            }
             RunError::InvalidRecoveryPolicy(msg) => {
                 write!(f, "invalid recovery policy: {msg}")
             }
@@ -244,7 +235,6 @@ impl RunError {
             RunError::Skeleton(_) => "skeleton",
             RunError::InvalidFaultSpec(_) => "invalid_fault_spec",
             RunError::InvalidInfoConfig(_) => "invalid_info_config",
-            RunError::InvalidRecorderConfig(_) => "invalid_recorder_config",
             RunError::InvalidRecoveryPolicy(_) => "invalid_recovery_policy",
             RunError::InvalidUnitConfig(_) => "invalid_unit_config",
             RunError::DeadlineExceeded { .. } => "deadline_exceeded",
@@ -367,9 +357,9 @@ pub fn run_application(
     strategy: &ExecutionStrategy,
     options: &RunOptions,
 ) -> Result<RunResult, RunError> {
-    // Construction-time validation, mirroring FaultSpec::validate: a
-    // zero-capacity recorder or an inverted staleness ladder cannot mean
-    // what it says, so refuse to run it.
+    // Construction-time validation, mirroring FaultSpec::validate: an
+    // inverted staleness ladder cannot mean what it says, so refuse to
+    // run it.
     options
         .info
         .validate()
@@ -377,28 +367,15 @@ pub fn run_application(
     if let Some(rec) = &options.recovery {
         rec.validate().map_err(RunError::InvalidRecoveryPolicy)?;
     }
-    let recorder = Rc::new(RefCell::new(
-        FlightRecorder::new(options.recorder_capacity).map_err(RunError::InvalidRecorderConfig)?,
-    ));
-    let seed = options.seed;
-    let dump_dir = options.recorder_dump_dir.clone();
-    let run_tag = options.run_tag.clone();
-    // Post-mortem hook: freeze the recorder's tail into a checksummed
-    // snapshot file, named after the death reason.
-    let dump = {
-        let recorder = recorder.clone();
-        let dump_dir = dump_dir.clone();
-        let run_tag = run_tag.clone();
-        move |reason: &str| {
-            dump_snapshot(
-                dump_dir.as_deref(),
-                run_tag.as_deref(),
-                seed,
-                &recorder.borrow(),
-                reason,
-            )
-        }
-    };
+    // Every journal-shaped event goes through this one log: the
+    // always-on flight recorder, plus the journal when the caller asked
+    // for one. Dumps are named after the death reason.
+    let log = RunLog::new(
+        options.seed,
+        options.journal.clone(),
+        options.recorder_dump_dir.clone(),
+        options.run_tag.clone(),
+    );
 
     let tracer = match &options.tracer {
         Some(t) => t.clone(),
@@ -482,8 +459,7 @@ pub fn run_application(
     // compiled info-fault model, on its own per-resource forked streams
     // so queries neither consume nor disturb any other stream.
     {
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
+        let log = log.clone();
         info_handle.borrow_mut().set_sink(Box::new(move |at, d| {
             let event = JournalEvent::InfoFallback {
                 resource: d.resource.clone(),
@@ -492,7 +468,7 @@ pub fn run_application(
                 age_secs: d.age.as_secs(),
                 wait_secs: d.wait.map(|w| w.as_secs()),
             };
-            record_event(at, event, &rec, &jr);
+            log.record(at, event);
         }));
     }
     if let Some(sched) = &schedule {
@@ -515,15 +491,13 @@ pub fn run_application(
                 }));
         }
     }
-    record_event(
+    log.record(
         sim.now(),
         JournalEvent::RunStarted {
             seed: options.seed,
             strategy: strategy.label(),
             n_tasks,
         },
-        &recorder,
-        &options.journal,
     );
 
     // Steps 1–4: derive the plan at submission time.
@@ -592,6 +566,7 @@ pub fn run_application(
         }
     }
     let um = UnitManager::new(pm.clone(), um_config);
+    let _teardown = RunTeardown::new(&pm, &um, &session);
     let finished: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
     {
         let pm2 = pm.clone();
@@ -601,18 +576,15 @@ pub fn run_application(
             pm2.cancel_all(sim);
         });
     }
-    // Journal + flight-recorder wiring: subscribe before anything is
-    // submitted so the very first transitions are captured. The recorder
-    // is always on; the journal only when the caller asked for one.
-    // Entry order within one instant is fixed by subscription order,
-    // hence deterministic.
+    // Run-log wiring: subscribe before anything is submitted so the very
+    // first transitions are captured. Entry order within one instant is
+    // fixed by subscription order, hence deterministic.
     {
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
+        let log2 = log.clone();
         let pm2 = pm.clone();
         pm.subscribe(move |sim, pilot, state| {
             let desc = pm2.pilot(pilot).description;
-            record_event(
+            log2.record(
                 sim.now(),
                 JournalEvent::PilotTransition {
                     pilot: pilot.0,
@@ -620,16 +592,13 @@ pub fn run_application(
                     resource: desc.resource,
                     cores: desc.cores,
                 },
-                &rec,
-                &jr,
             );
         });
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
+        let log2 = log.clone();
         let um2 = um.clone();
         um.subscribe(move |sim, unit, state| {
             let u = um2.unit(unit);
-            record_event(
+            log2.record(
                 sim.now(),
                 JournalEvent::UnitTransition {
                     unit: unit.0,
@@ -637,12 +606,9 @@ pub fn run_application(
                     pilot: u.pilot.map(|p| p.0),
                     cores: u.task.cores,
                 },
-                &rec,
-                &jr,
             );
         });
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
+        let log2 = log.clone();
         um.on_salvage(move |sim, unit, ev| {
             let event = match ev {
                 SalvageEvent::Checkpoint { progress_secs } => JournalEvent::Checkpoint {
@@ -654,12 +620,9 @@ pub fn run_application(
                     salvaged_secs,
                 },
             };
-            record_event(sim.now(), event, &rec, &jr);
+            log2.record(sim.now(), event);
         });
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
-        let dump_dir2 = dump_dir.clone();
-        let run_tag2 = run_tag.clone();
+        let log2 = log.clone();
         pm.on_detector_event(move |sim, ev| {
             let event = match ev {
                 DetectorEvent::Suspected {
@@ -702,46 +665,26 @@ pub fn run_application(
                     detail: detail.clone(),
                 },
             };
-            record_event(sim.now(), event, &rec, &jr);
+            log2.record(sim.now(), event);
             // A Declared-Dead verdict is a death certificate: snapshot
             // the tail now, while the evidence is still in the ring.
             if let DetectorEvent::DeclaredDead { resource, .. } = ev {
-                dump_snapshot(
-                    dump_dir2.as_deref(),
-                    run_tag2.as_deref(),
-                    seed,
-                    &rec.borrow(),
-                    &format!("declared-dead-{resource}"),
-                );
+                log2.dump(&format!("declared-dead-{resource}"));
             }
         });
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
+        let log2 = log.clone();
         pm.on_blacklist(move |sim, resource| {
-            record_event(
-                sim.now(),
-                JournalEvent::Blacklist {
-                    resource: resource.to_string(),
-                },
-                &rec,
-                &jr,
-            );
+            let resource = resource.to_string();
+            log2.record(sim.now(), JournalEvent::Blacklist { resource });
         });
         for cluster in &clusters {
             let Some(svc) = session.service(&cluster.name()) else {
                 continue;
             };
-            let jr = options.journal.clone();
-            let rec = recorder.clone();
+            let log2 = log.clone();
             svc.on_breaker_trip(move |sim, resource| {
-                record_event(
-                    sim.now(),
-                    JournalEvent::BreakerTrip {
-                        resource: resource.to_string(),
-                    },
-                    &rec,
-                    &jr,
-                );
+                let resource = resource.to_string();
+                log2.record(sim.now(), JournalEvent::BreakerTrip { resource });
             });
         }
     }
@@ -781,7 +724,7 @@ pub fn run_application(
         let do_replan: Replan = {
             let pm2 = pm.clone();
             let replans2 = replans.clone();
-            let journal2 = options.journal.clone();
+            let log2 = log.clone();
             Rc::new(move |sim: &mut Simulation, resource: &str, doomed: usize| {
                 let Some((bundle, rng, app, strategy)) = &replanner else {
                     return;
@@ -831,15 +774,13 @@ pub fn run_application(
                             )
                         });
                         sim.metrics().inc(|| "middleware.recovery.replans".into());
-                        if let Some(jr) = &journal2 {
-                            jr.borrow_mut().record(
-                                sim.now(),
-                                JournalEvent::Replan {
-                                    resource: resource.to_string(),
-                                    pilots: plan2.pilots.len() as u32,
-                                },
-                            );
-                        }
+                        log2.record(
+                            sim.now(),
+                            JournalEvent::Replan {
+                                resource: resource.to_string(),
+                                pilots: plan2.pilots.len() as u32,
+                            },
+                        );
                         pm2.submit(sim, plan2.pilots);
                         replans2.set(replans2.get() + 1);
                     }
@@ -953,10 +894,7 @@ pub fn run_application(
                 let do_replan = do_replan.clone();
                 let replanned2 = replanned.clone();
                 let evacuating2 = evacuating.clone();
-                let jr = options.journal.clone();
-                let rec = recorder.clone();
-                let dump_dir2 = dump_dir.clone();
-                let run_tag2 = run_tag.clone();
+                let log2 = log.clone();
                 let alarms2 = domain_alarms.clone();
                 let first_alarm2 = first_alarm.clone();
                 Rc::new(move |sim: &mut Simulation, resource: &str| {
@@ -994,25 +932,20 @@ pub fn run_application(
                             format!("domain alarm {domain}: evacuating [{}]", members.join(", ")),
                         )
                     });
-                    record_event(
+                    log2.record(
                         sim.now(),
                         JournalEvent::DomainAlarm {
                             domain: domain.clone(),
                             members: members.clone(),
                         },
-                        &rec,
-                        &jr,
                     );
                     // A cascade verdict is a death certificate for the
                     // whole domain: snapshot now, with the alarmed domain
                     // and its members in the header.
-                    dump_snapshot(
-                        dump_dir2.as_deref(),
-                        run_tag2.as_deref(),
-                        seed,
-                        &rec.borrow(),
-                        &format!("domain-alarm-{domain} members={}", members.join(",")),
-                    );
+                    log2.dump(&format!(
+                        "domain-alarm-{domain} members={}",
+                        members.join(",")
+                    ));
                     for member in &members {
                         // Mark as handled first so the generic breaker/
                         // blacklist hooks don't replan the same loss again.
@@ -1066,8 +999,7 @@ pub fn run_application(
             // alarm → first-drain lead.
             {
                 let evacuating2 = evacuating.clone();
-                let jr = options.journal.clone();
-                let rec = recorder.clone();
+                let log2 = log.clone();
                 let evacs2 = evacuations.clone();
                 let first_alarm2 = first_alarm.clone();
                 let lead2 = evacuation_lead.clone();
@@ -1080,15 +1012,13 @@ pub fn run_application(
                     };
                     evacs2.set(evacs2.get() + 1);
                     sim.metrics().inc(|| "middleware.evacuations".into());
-                    record_event(
+                    log2.record(
                         sim.now(),
                         JournalEvent::Evacuation {
                             domain,
                             resource,
                             pilot: pilot.0,
                         },
-                        &rec,
-                        &jr,
                     );
                     if lead2.borrow().is_none() {
                         if let Some(alarm_at) = *first_alarm2.borrow() {
@@ -1185,7 +1115,7 @@ pub fn run_application(
             // holds now is exactly what a crashed writer would have
             // persisted.
             if sim.now() >= t {
-                dump("interrupted");
+                log.dump("interrupted");
                 sim.publish_engine_stats();
                 return Err(RunError::Interrupted {
                     at: sim.now(),
@@ -1194,7 +1124,7 @@ pub fn run_application(
             }
         }
         if sim.now() > deadline {
-            dump("deadline-exceeded");
+            log.dump("deadline-exceeded");
             sim.publish_engine_stats();
             return Err(RunError::DeadlineExceeded {
                 n_tasks,
@@ -1216,14 +1146,14 @@ pub fn run_application(
             let stats = um.stats();
             return Err(match lost.borrow().first() {
                 Some(resource) => {
-                    dump(&format!("resource-lost-{resource}"));
+                    log.dump(&format!("resource-lost-{resource}"));
                     RunError::ResourceLost {
                         resource: resource.clone(),
                         stats,
                     }
                 }
                 None => {
-                    dump("pilots-drained");
+                    log.dump("pilots-drained");
                     RunError::PilotsDrained { stats }
                 }
             });
@@ -1238,13 +1168,11 @@ pub fn run_application(
     // knows when silence began, so decompose cannot derive this from
     // unit/pilot timestamps.
     breakdown.td = interval_union(pm.detection_windows());
-    record_event(
+    log.record(
         finished_at,
         JournalEvent::RunFinished {
             ttc_secs: breakdown.ttc.as_secs(),
         },
-        &recorder,
-        &options.journal,
     );
     // Allocation accounting (§V metrics): charged = active pilot spans,
     // used = task-execution core time.
@@ -1370,75 +1298,6 @@ pub fn run_application(
             .filter_map(|p| p.setup_time().map(|d| d.as_secs()))
             .collect(),
     })
-}
-
-/// Feed one journal-shaped event to the always-on flight recorder and,
-/// when the caller asked for one, the run journal. The recorder line is
-/// the event's JSON, so a snapshot tail is directly comparable to the
-/// journal's tail.
-fn record_event(
-    at: SimTime,
-    event: JournalEvent,
-    recorder: &Rc<RefCell<FlightRecorder>>,
-    journal: &Option<Rc<RefCell<RunJournal>>>,
-) {
-    recorder
-        .borrow_mut()
-        .record_with(at, || serde_json::to_string(&event).unwrap_or_default());
-    if let Some(jr) = journal {
-        jr.borrow_mut().record(at, event);
-    }
-}
-
-/// Write a checksummed snapshot of the recorder into `dir` (no-op when
-/// unset). Dump failures are swallowed: post-mortem writing must never
-/// turn a diagnosable death into a different one.
-///
-/// Concurrent runs (the worker pool) may share `dir`, and paired-seed
-/// sweep arms may even share `seed`; the `tag` keeps their filenames
-/// apart, and the write goes to a unique temp file followed by an atomic
-/// rename so a reader never observes a half-written or interleaved dump.
-fn dump_snapshot(
-    dir: Option<&std::path::Path>,
-    tag: Option<&str>,
-    seed: u64,
-    recorder: &FlightRecorder,
-    reason: &str,
-) {
-    let Some(dir) = dir else { return };
-    let snapshot = recorder.snapshot(reason);
-    fn sanitize(s: &str) -> String {
-        s.chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' {
-                    c
-                } else {
-                    '-'
-                }
-            })
-            .collect()
-    }
-    let name = match tag {
-        Some(tag) => format!("flight-{}-{seed}-{}.txt", sanitize(tag), sanitize(reason)),
-        None => format!("flight-{seed}-{}.txt", sanitize(reason)),
-    };
-    let _ = std::fs::create_dir_all(dir);
-    static DUMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let tmp = dir.join(format!(
-        "{name}.tmp-{}-{}",
-        std::process::id(),
-        DUMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    match std::fs::write(&tmp, snapshot.to_text()) {
-        Ok(()) => {
-            if std::fs::rename(&tmp, dir.join(&name)).is_err() {
-                let _ = std::fs::remove_file(&tmp);
-            }
-        }
-        Err(_) => {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
 }
 
 /// Resume a run that was interrupted mid-flight from its journal.

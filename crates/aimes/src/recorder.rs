@@ -1,18 +1,22 @@
-//! The flight recorder: a bounded, always-on ring buffer of the run's
-//! most recent events, dumped as a checksummed post-mortem snapshot when
-//! something dies.
+//! The run log: the one path every journal-shaped event of a run takes.
 //!
-//! The journal ([`crate::journal`]) is opt-in and complete; the tracer is
-//! opt-in and verbose. The flight recorder is neither: it is *always on*,
-//! costs one `VecDeque` rotation plus one small string per event, and
-//! retains only the last N events — enough to reconstruct the final
-//! moments of a failed chaos run without full tracing. On any `RunError`
-//! or a detector Declared-Dead verdict the middleware snapshots the ring
-//! into a self-verifying text dump.
+//! A `RunLog` feeds two stores from one call. The *flight recorder* is
+//! a bounded, always-on ring of the run's most recent events; the
+//! *journal* ([`crate::journal`]) is opt-in and complete. Because both
+//! are fed by `RunLog::record`, the dump tail and the journal tail of
+//! one run agree by construction. The tracer stays separate: opt-in and
+//! verbose.
+//!
+//! The ring keeps typed events. Text is rendered only when someone reads
+//! the ring (`RunLog::snapshot`), so the always-on part costs one
+//! `VecDeque` rotation per event. On any `RunError`, a detector
+//! Declared-Dead verdict or a domain alarm the middleware calls
+//! `RunLog::dump`, which freezes the ring into a self-verifying text
+//! file.
 //!
 //! Recording is strictly passive: no simulation events, no RNG draws —
-//! an enabled recorder produces bit-identical journals to a disabled
-//! one (pinned by the golden-journal tests).
+//! the recorder changes nothing in the journal (pinned by the
+//! golden-journal tests).
 //!
 //! Snapshot format (one line per retained event, FNV-1a-64 checksum over
 //! the body):
@@ -21,24 +25,28 @@
 //! # flight-recorder snapshot v1
 //! # reason: resource-lost-one
 //! # total: 214 dropped: 150 retained: 64
-//! 150 9180.000 {"type":"unit_transition",...}
+//! 150 9180.000 {"type":"UnitTransition",...}
 //! ...
-//! 213 9600.000 {"type":"detector",...}
+//! 213 9600.000 {"type":"Detector",...}
 //! # checksum: fnv1a64 4f0e6c2a91b7d3e5
 //! ```
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::path::PathBuf;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::journal::{JournalEvent, RunJournal};
 use aimes_sim::SimTime;
 
-/// Default ring capacity: enough to hold the tail of a large run while
-/// staying cheap to snapshot.
+/// Ring capacity: enough to hold the tail of a large run while staying
+/// cheap to snapshot.
 pub const DEFAULT_RECORDER_CAPACITY: usize = 256;
 
-/// One retained event: a monotone sequence number, the simulation time,
-/// and a one-line description (the journal event's JSON, for events that
-/// are journal-shaped).
+/// One retained event as a snapshot shows it: a monotone sequence
+/// number, the simulation time, and the journal event's JSON line.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RecorderEvent {
     pub seq: u64,
@@ -46,68 +54,127 @@ pub struct RecorderEvent {
     pub what: String,
 }
 
-/// The bounded ring. Construction validates the capacity (a zero-sized
-/// recorder would silently retain nothing — reject it instead).
-#[derive(Debug)]
-pub struct FlightRecorder {
-    capacity: usize,
-    next_seq: u64,
-    ring: VecDeque<RecorderEvent>,
+/// Handle to one run's log: the ring, the caller's optional journal and
+/// where dumps go. Clones share the same log.
+#[derive(Clone)]
+pub(crate) struct RunLog {
+    inner: Rc<RefCell<LogState>>,
 }
 
-impl FlightRecorder {
-    /// A recorder retaining the last `capacity` events.
-    pub fn new(capacity: usize) -> Result<Self, String> {
-        if capacity == 0 {
-            return Err("flight-recorder capacity 0: must retain at least one event".into());
+struct LogState {
+    /// The retained tail, oldest first. Sequence numbers are implicit:
+    /// the front holds `total - ring.len()`.
+    ring: VecDeque<(SimTime, JournalEvent)>,
+    /// Events recorded since construction, dropped ones included.
+    total: u64,
+    journal: Option<Rc<RefCell<RunJournal>>>,
+    /// Dump policy: no directory keeps the recorder purely in memory.
+    dump_dir: Option<PathBuf>,
+    tag: Option<String>,
+    seed: u64,
+}
+
+impl RunLog {
+    /// A log for the run with `seed`, appending to `journal` when given
+    /// and writing dumps into `dump_dir` when given. `tag` disambiguates
+    /// dump filenames of runs that share a seed and a directory.
+    pub(crate) fn new(
+        seed: u64,
+        journal: Option<Rc<RefCell<RunJournal>>>,
+        dump_dir: Option<PathBuf>,
+        tag: Option<String>,
+    ) -> Self {
+        RunLog {
+            inner: Rc::new(RefCell::new(LogState {
+                ring: VecDeque::with_capacity(DEFAULT_RECORDER_CAPACITY),
+                total: 0,
+                journal,
+                dump_dir,
+                tag,
+                seed,
+            })),
         }
-        Ok(FlightRecorder {
-            capacity,
-            next_seq: 0,
-            ring: VecDeque::with_capacity(capacity.min(4096)),
-        })
     }
 
-    /// Record one event. The description closure runs unconditionally
-    /// (the recorder is always on); keep it to one cheap serialization.
-    pub fn record_with(&mut self, at: SimTime, what: impl FnOnce() -> String) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+    /// Record one event: into the ring always, into the journal when the
+    /// run has one.
+    pub(crate) fn record(&self, at: SimTime, event: JournalEvent) {
+        let mut st = self.inner.borrow_mut();
+        if let Some(journal) = &st.journal {
+            journal.borrow_mut().record(at, event.clone());
         }
-        self.ring.push_back(RecorderEvent {
-            seq: self.next_seq,
-            at_secs: at.as_secs(),
-            what: what(),
-        });
-        self.next_seq += 1;
+        if st.ring.len() == DEFAULT_RECORDER_CAPACITY {
+            st.ring.pop_front();
+        }
+        st.ring.push_back((at, event));
+        st.total += 1;
     }
 
-    /// Total events recorded since construction (including dropped ones).
-    pub fn total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Freeze the ring into a checksummed snapshot.
-    pub fn snapshot(&self, reason: &str) -> RecorderSnapshot {
-        let events: Vec<RecorderEvent> = self.ring.iter().cloned().collect();
-        let dropped = self.next_seq - events.len() as u64;
+    /// Freeze the ring into a checksummed snapshot, rendering each
+    /// retained event as the JSON line the journal holds for it.
+    pub(crate) fn snapshot(&self, reason: &str) -> RecorderSnapshot {
+        let st = self.inner.borrow();
+        let dropped = st.total - st.ring.len() as u64;
+        let events = st
+            .ring
+            .iter()
+            .zip(dropped..)
+            .map(|((at, event), seq)| RecorderEvent {
+                seq,
+                at_secs: at.as_secs(),
+                what: serde_json::to_string(event).unwrap_or_default(),
+            })
+            .collect();
         RecorderSnapshot {
             reason: reason.to_string(),
-            total_events: self.next_seq,
+            total_events: st.total,
             dropped,
             events,
         }
     }
+
+    /// Write a snapshot into the dump directory (no-op when unset), as
+    /// `flight-{tag}-{seed}-{reason}.txt` or `flight-{seed}-{reason}.txt`.
+    /// Dump failures are swallowed: post-mortem writing must never turn
+    /// a diagnosable death into a different one.
+    ///
+    /// Concurrent runs (the worker pool) may share the directory, and
+    /// paired-seed sweep arms may even share the seed; the tag keeps
+    /// their filenames apart, and the write goes to a unique temp file
+    /// followed by an atomic rename so a reader never observes a
+    /// half-written or interleaved dump.
+    pub(crate) fn dump(&self, reason: &str) {
+        let st = self.inner.borrow();
+        let Some(dir) = &st.dump_dir else { return };
+        let tag = st.tag.as_deref().map(|t| sanitize(t) + "-");
+        let name = format!(
+            "flight-{}{}-{}.txt",
+            tag.unwrap_or_default(),
+            st.seed,
+            sanitize(reason)
+        );
+        let _ = std::fs::create_dir_all(dir);
+        static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let tmp = dir.join(format!(
+            "{name}.tmp-{}-{}",
+            std::process::id(),
+            DUMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let written = std::fs::write(&tmp, self.snapshot(reason).to_text());
+        if written
+            .and_then(|()| std::fs::rename(&tmp, dir.join(&name)))
+            .is_err()
+        {
+            let _ = std::fs::remove_file(&tmp);
+        }
+    }
+}
+
+/// Filename-safe form of a tag or reason: anything outside
+/// `[a-zA-Z0-9-]` becomes `-`.
+fn sanitize(s: &str) -> String {
+    let safe = |c: char| c.is_ascii_alphanumeric() || c == '-';
+    s.chars().map(|c| if safe(c) { c } else { '-' }).collect()
 }
 
 /// A frozen, checksummed post-mortem snapshot.
@@ -264,51 +331,81 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    #[test]
-    fn zero_capacity_is_rejected() {
-        assert!(FlightRecorder::new(0).unwrap_err().contains("capacity 0"));
-        assert!(FlightRecorder::new(1).is_ok());
+    fn finished(i: u64) -> JournalEvent {
+        JournalEvent::RunFinished { ttc_secs: i as f64 }
+    }
+
+    fn json(event: &JournalEvent) -> String {
+        serde_json::to_string(event).unwrap()
     }
 
     #[test]
     fn ring_retains_only_the_tail() {
-        let mut r = FlightRecorder::new(3).unwrap();
-        for i in 0..10u64 {
-            r.record_with(t(i as f64), || format!("event-{i}"));
+        let log = RunLog::new(0, None, None, None);
+        let n = DEFAULT_RECORDER_CAPACITY as u64 + 10;
+        for i in 0..n {
+            log.record(t(i as f64), finished(i));
         }
-        assert_eq!(r.total(), 10);
-        assert_eq!(r.len(), 3);
-        let snap = r.snapshot("test");
-        assert_eq!(snap.dropped, 7);
-        let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9]);
-        assert_eq!(snap.events[0].what, "event-7");
+        let snap = log.snapshot("test");
+        assert_eq!(snap.total_events, n);
+        assert_eq!(snap.dropped, 10);
+        assert_eq!(snap.events.len(), DEFAULT_RECORDER_CAPACITY);
+        assert_eq!(snap.events[0].seq, 10);
+        assert_eq!(snap.events[0].what, json(&finished(10)));
+        assert_eq!(snap.events.last().unwrap().seq, n - 1);
         snap.verify().expect("tail is contiguous");
     }
 
     #[test]
-    fn snapshot_roundtrips_with_checksum() {
-        let mut r = FlightRecorder::new(4).unwrap();
-        for i in 0..6u64 {
-            r.record_with(t(100.0 + i as f64), || {
-                format!("{{\"type\":\"demo\",\"i\":{i}}}")
-            });
+    fn every_record_reaches_the_journal_and_the_ring_alike() {
+        let journal = Rc::new(RefCell::new(RunJournal::new()));
+        let log = RunLog::new(0, Some(journal.clone()), None, None);
+        log.record(t(1.0), finished(1));
+        log.record(
+            t(2.0),
+            JournalEvent::Replan {
+                resource: "one".into(),
+                pilots: 2,
+            },
+        );
+        let snap = log.snapshot("test");
+        let journal = journal.borrow();
+        assert_eq!(snap.total_events, journal.len() as u64);
+        for (line, entry) in snap.events.iter().zip(journal.entries()) {
+            assert_eq!(line.seq, entry.seq);
+            assert_eq!(line.at_secs, entry.at_secs);
+            assert_eq!(line.what, json(&entry.event));
         }
-        let snap = r.snapshot("resource-lost-one");
+    }
+
+    #[test]
+    fn snapshot_roundtrips_with_checksum() {
+        let log = RunLog::new(0, None, None, None);
+        for i in 0..6u64 {
+            log.record(
+                t(100.0 + i as f64),
+                JournalEvent::Blacklist {
+                    resource: format!("r{i}"),
+                },
+            );
+        }
+        let snap = log.snapshot("resource-lost-one");
         let text = snap.to_text();
         assert!(text.starts_with("# flight-recorder snapshot v1\n"));
         assert!(text.contains("# reason: resource-lost-one"));
+        assert!(text.contains("5 105.000 {\"type\":\"Blacklist\",\"resource\":\"r5\"}\n"));
         let back = RecorderSnapshot::from_text(&text).expect("parses and verifies");
         assert_eq!(back, snap);
     }
 
     #[test]
     fn tampered_dumps_are_rejected() {
-        let mut r = FlightRecorder::new(4).unwrap();
-        r.record_with(t(1.0), || "a".into());
-        r.record_with(t(2.0), || "b".into());
-        let text = r.snapshot("x").to_text();
-        let tampered = text.replace(" b\n", " c\n");
+        let log = RunLog::new(0, None, None, None);
+        log.record(t(1.0), finished(1));
+        log.record(t(2.0), finished(2));
+        let text = log.snapshot("x").to_text();
+        let tampered = text.replace(":2.0}", ":3.0}");
+        assert_ne!(tampered, text);
         assert!(
             RecorderSnapshot::from_text(&tampered)
                 .unwrap_err()
@@ -326,10 +423,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_recorder_snapshots_cleanly() {
-        let r = FlightRecorder::new(8).unwrap();
-        assert!(r.is_empty());
-        let snap = r.snapshot("early-death");
+    fn empty_log_snapshots_cleanly() {
+        let log = RunLog::new(0, None, None, None);
+        let snap = log.snapshot("early-death");
         assert_eq!(snap.total_events, 0);
         let back = RecorderSnapshot::from_text(&snap.to_text()).unwrap();
         assert_eq!(back.events.len(), 0);

@@ -1003,6 +1003,13 @@ impl Cluster {
             .push(Box::new(cb));
     }
 
+    /// Drop every job watcher. Watchers hold handles to their
+    /// subscribers, which hold this cluster: run teardown calls this so
+    /// the run's objects can be freed.
+    pub fn clear_watchers(&self) {
+        self.inner.borrow_mut().watchers.clear();
+    }
+
     fn notify(&self, sim: &mut Simulation, id: JobId, state: JobState) {
         let Some(mut ws) = self.inner.borrow_mut().watchers.remove(&id) else {
             return;

@@ -333,6 +333,17 @@ impl PilotManager {
             .push(Box::new(cb));
     }
 
+    /// Drop every subscriber (transitions, blacklists, detector events,
+    /// silent agents). Subscribers usually hold a handle to this manager,
+    /// so a run clears them once it is over.
+    pub fn clear_subscribers(&self) {
+        let mut st = self.inner.borrow_mut();
+        st.subscribers.clear();
+        st.blacklist_subscribers.clear();
+        st.detector_subscribers.clear();
+        st.silent_subscribers.clear();
+    }
+
     /// Submit pilots. Each is described to the resource named in its
     /// description; unknown resources panic (the Execution Manager selects
     /// resources from the bundle, which mirrors the session).

@@ -313,6 +313,15 @@ impl UnitManager {
         self.inner.borrow_mut().on_all_done.push(Box::new(cb));
     }
 
+    /// Drop every observer and completion callback. They usually hold
+    /// manager handles, so a run clears them once it is over.
+    pub fn clear_subscribers(&self) {
+        let mut st = self.inner.borrow_mut();
+        st.transition_subscribers.clear();
+        st.salvage_subscribers.clear();
+        st.on_all_done.clear();
+    }
+
     /// Submit the application's tasks as compute units. For early binding,
     /// units are partitioned in contiguous blocks across the pilots known
     /// to the pilot manager at this point.

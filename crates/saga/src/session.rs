@@ -167,6 +167,18 @@ impl JobService {
         st.trip_subscribers = subs;
     }
 
+    /// Drop the breaker-trip subscribers, every job's state callback and
+    /// the cluster's job watchers: the callbacks hold handles back into
+    /// the layers above, so a run clears them on the way out.
+    fn clear_callbacks(&self) {
+        let mut st = self.inner.borrow_mut();
+        st.trip_subscribers.clear();
+        for rec in st.jobs.values_mut() {
+            rec.callback = None;
+        }
+        st.cluster.clear_watchers();
+    }
+
     /// The resource this service fronts.
     pub fn resource(&self) -> String {
         self.inner.borrow().resource.clone()
@@ -651,6 +663,14 @@ impl Session {
     /// The job service for a resource.
     pub fn service(&self, resource: &str) -> Option<JobService> {
         self.services.get(resource).cloned()
+    }
+
+    /// Drop every stored callback on every service (see
+    /// [`JobService::clear_callbacks`]). Call once the run is over.
+    pub fn clear_callbacks(&self) {
+        for svc in self.services.values() {
+            svc.clear_callbacks();
+        }
     }
 
     /// Names of all attached resources (sorted for determinism).

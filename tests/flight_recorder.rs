@@ -3,6 +3,9 @@
 //! reconstructs the run's last N events exactly — byte-for-byte the same
 //! JSON lines the full journal holds for those events. A Declared-Dead
 //! verdict dumps too, even when the run ultimately succeeds.
+//!
+//! Both stores are fed by one run log, so the equality holds for every
+//! journal-shaped event, re-plans included, also once the ring wraps.
 
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -12,7 +15,8 @@ use aimes_repro::cluster::ClusterConfig;
 use aimes_repro::fault::{FaultSpec, OutageKind, OutageSpec, RecoveryPolicy};
 use aimes_repro::middleware::paper;
 use aimes_repro::middleware::{
-    run_application, RecorderSnapshot, RunError, RunJournal, RunOptions,
+    run_application, JournalEvent, RecorderSnapshot, RunError, RunJournal, RunOptions,
+    DEFAULT_RECORDER_CAPACITY,
 };
 use aimes_repro::sim::{SimDuration, SimTime};
 use aimes_repro::skeleton::{paper_bag, TaskDurationSpec};
@@ -34,7 +38,6 @@ fn interrupted_run_dumps_a_verifiable_snapshot_matching_the_journal_tail() {
         ClusterConfig::test("two", 256),
     ];
     let journal = Rc::new(RefCell::new(RunJournal::new()));
-    let capacity = 16;
     let err = run_application(
         &pool,
         &app,
@@ -44,7 +47,6 @@ fn interrupted_run_dumps_a_verifiable_snapshot_matching_the_journal_tail() {
             submit_at: SimTime::from_secs(600.0),
             interrupt_at: Some(SimDuration::from_secs(900.0)),
             journal: Some(journal.clone()),
-            recorder_capacity: capacity,
             recorder_dump_dir: Some(dir.clone()),
             ..Default::default()
         },
@@ -59,15 +61,18 @@ fn interrupted_run_dumps_a_verifiable_snapshot_matching_the_journal_tail() {
     let snap = RecorderSnapshot::from_text(&text).expect("dump verifies");
     assert_eq!(snap.reason, "interrupted");
     assert!(!snap.events.is_empty(), "the ring saw the run's events");
-    assert!(snap.events.len() <= capacity);
+    assert!(snap.events.len() <= DEFAULT_RECORDER_CAPACITY);
+    assert_tail_matches_journal(&snap, &journal.borrow());
+}
 
-    // The tail reconstructs the journal's last N events exactly: same
-    // count, same order, byte-identical JSON per event.
-    let journal = journal.borrow();
+/// The dump's tail reconstructs the journal's last N events exactly:
+/// same count, same order, byte-identical JSON per event.
+fn assert_tail_matches_journal(snap: &RecorderSnapshot, journal: &RunJournal) {
     let entries = journal.entries();
     assert_eq!(snap.total_events, entries.len() as u64);
     let tail = &entries[entries.len() - snap.events.len()..];
     for (rec, entry) in snap.events.iter().zip(tail) {
+        assert_eq!(rec.seq, entry.seq);
         let expect = serde_json::to_string(&entry.event).unwrap();
         assert_eq!(
             rec.what, expect,
@@ -77,6 +82,101 @@ fn interrupted_run_dumps_a_verifiable_snapshot_matching_the_journal_tail() {
         // The dump format keeps millisecond precision.
         assert!((rec.at_secs - entry.at_secs).abs() < 0.001);
     }
+}
+
+/// A cascade through zone-a ("one", "two"), with detection and
+/// evacuation: the run re-plans several times.
+fn cascade_options(seed: u64) -> RunOptions {
+    use aimes_repro::fault::{CascadeSpec, DomainSpec, EvacuationSpec};
+    let mut recovery = RecoveryPolicy::with_detection();
+    recovery.evacuation = Some(EvacuationSpec::default());
+    RunOptions {
+        seed,
+        submit_at: SimTime::from_secs(600.0),
+        faults: Some(FaultSpec {
+            cascade: Some(CascadeSpec {
+                domains: vec![
+                    DomainSpec {
+                        name: "zone-a".into(),
+                        members: vec!["one".into(), "two".into()],
+                    },
+                    DomainSpec {
+                        name: "zone-b".into(),
+                        members: vec!["three".into()],
+                    },
+                ],
+                trigger: OutageSpec {
+                    resource: "one".into(),
+                    at_secs: 300.0,
+                    duration_secs: 0.0,
+                    kind: OutageKind::Permanent,
+                },
+                propagation_chance: 1.0,
+                propagation_delay_secs: (600.0, 900.0),
+            }),
+            ..FaultSpec::none()
+        }),
+        recovery: Some(recovery),
+        ..Default::default()
+    }
+}
+
+fn cascade_pool() -> Vec<ClusterConfig> {
+    vec![
+        ClusterConfig::test("one", 256),
+        ClusterConfig::test("two", 256),
+        ClusterConfig::test("three", 512),
+    ]
+}
+
+#[test]
+fn replan_lines_reach_the_dump_after_the_ring_wraps() {
+    // Kill the cascade run one second after its first re-plan. By then
+    // the ring has wrapped, and the re-plan sits in the retained tail:
+    // the dump must still equal the journal's tail line for line.
+    let app = paper_bag(128, TaskDurationSpec::Uniform15Min);
+    let mut strategy = paper::late_strategy(2);
+    strategy.selection = ResourceSelection::Fixed(vec!["one".into(), "two".into()]);
+    let full = Rc::new(RefCell::new(RunJournal::new()));
+    let mut options = cascade_options(31);
+    options.journal = Some(full.clone());
+    run_application(&cascade_pool(), &app, &strategy, &options)
+        .expect("evacuation rides out the cascade");
+    let first_replan = full
+        .borrow()
+        .entries()
+        .iter()
+        .find(|e| matches!(e.event, JournalEvent::Replan { .. }))
+        .expect("the cascade re-plans")
+        .at_secs;
+
+    let dir = dump_dir("replan-tail");
+    let journal = Rc::new(RefCell::new(RunJournal::new()));
+    let mut options = cascade_options(31);
+    options.journal = Some(journal.clone());
+    options.recorder_dump_dir = Some(dir.clone());
+    options.interrupt_at = Some(SimDuration::from_secs(first_replan - 600.0 + 1.0));
+    let err = run_application(&cascade_pool(), &app, &strategy, &options)
+        .expect_err("the run is killed after its first re-plan");
+    assert!(matches!(err, RunError::Interrupted { .. }), "got {err}");
+
+    let text = std::fs::read_to_string(dir.join("flight-31-interrupted.txt"))
+        .expect("dump written on interrupt");
+    let snap = RecorderSnapshot::from_text(&text).expect("dump verifies");
+    let journal = journal.borrow();
+    let entries = journal.entries();
+    assert!(
+        entries.len() > DEFAULT_RECORDER_CAPACITY,
+        "the ring wrapped"
+    );
+    assert!(
+        entries[entries.len() - DEFAULT_RECORDER_CAPACITY..]
+            .iter()
+            .any(|e| matches!(e.event, JournalEvent::Replan { .. })),
+        "the re-plan falls in the retained tail"
+    );
+    assert_eq!(snap.events.len(), DEFAULT_RECORDER_CAPACITY);
+    assert_tail_matches_journal(&snap, &journal);
 }
 
 #[test]
@@ -257,24 +357,4 @@ fn no_dump_dir_means_no_files_and_no_failure() {
     )
     .expect_err("interrupted");
     assert!(matches!(err, RunError::Interrupted { .. }));
-}
-
-#[test]
-fn zero_recorder_capacity_is_rejected_before_the_run_starts() {
-    let app = paper_bag(8, TaskDurationSpec::Uniform15Min);
-    let pool = vec![ClusterConfig::test("one", 256)];
-    let err = run_application(
-        &pool,
-        &app,
-        &paper::early_strategy(),
-        &RunOptions {
-            recorder_capacity: 0,
-            ..Default::default()
-        },
-    )
-    .expect_err("zero ring must be rejected");
-    assert!(
-        matches!(err, RunError::InvalidRecorderConfig(_)),
-        "got {err}"
-    );
 }

@@ -13,7 +13,9 @@ use std::rc::Rc;
 use aimes_repro::cluster::ClusterConfig;
 use aimes_repro::fault::{FaultSpec, OutageKind, OutageSpec, RecoveryPolicy};
 use aimes_repro::middleware::paper;
-use aimes_repro::middleware::{run_application, RunJournal, RunOptions};
+use aimes_repro::middleware::{
+    run_application, JournalEvent, RecorderSnapshot, RunJournal, RunOptions,
+};
 use aimes_repro::sim::SimTime;
 use aimes_repro::skeleton::{paper_bag, TaskDurationSpec};
 use aimes_repro::strategy::ResourceSelection;
@@ -145,9 +147,11 @@ fn faulty_recovery_journal_matches_golden_digest() {
 #[test]
 fn recorder_on_journal_is_bit_identical_to_golden() {
     // The flight recorder is always on, but this pins the stronger claim:
-    // even with a deliberately tiny ring (constant rotation, every event
-    // serialized into it) the journal digest is unchanged — recording is
-    // strictly passive, no events, no RNG draws.
+    // even when the run writes a Declared-Dead dump mid-flight (the ring
+    // rendered to text and written to disk) the journal digest is
+    // unchanged — recording is strictly passive, no events, no RNG draws.
+    // The dump itself holds exactly the journal's entries up to the
+    // verdict, since one run log feeds both.
     let mut strategy = paper::late_strategy(2);
     strategy.selection = ResourceSelection::Fixed(vec!["one".into()]);
     let faults = FaultSpec {
@@ -161,18 +165,34 @@ fn recorder_on_journal_is_bit_identical_to_golden() {
     };
     let app = paper_bag(16, TaskDurationSpec::Uniform15Min);
     let journal = Rc::new(RefCell::new(RunJournal::new()));
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden-recorder");
+    let _ = std::fs::remove_dir_all(&dir);
     let options = RunOptions {
         seed: 777,
         submit_at: SimTime::from_secs(600.0),
         faults: Some(faults),
         recovery: Some(RecoveryPolicy::with_detection()),
         journal: Some(Rc::clone(&journal)),
-        recorder_capacity: 8,
+        recorder_dump_dir: Some(dir.clone()),
         ..Default::default()
     };
     run_application(&pool(), &app, &strategy, &options).expect("golden run completes");
     let out = journal.borrow().clone();
     check_golden("faulty-recovery+recorder", &out, GOLDEN_FAULTY);
+
+    let text = std::fs::read_to_string(dir.join("flight-777-declared-dead-one.txt"))
+        .expect("the verdict dumped a snapshot");
+    let snap = RecorderSnapshot::from_text(&text).expect("dump verifies");
+    let upto = &out.entries()[..snap.total_events as usize];
+    assert!(matches!(
+        upto.last().map(|e| &e.event),
+        Some(JournalEvent::Detector { verdict, .. }) if verdict == "DeclaredDead"
+    ));
+    let tail = &upto[upto.len() - snap.events.len()..];
+    for (line, entry) in snap.events.iter().zip(tail) {
+        assert_eq!(line.seq, entry.seq);
+        assert_eq!(line.what, serde_json::to_string(&entry.event).unwrap());
+    }
 }
 
 #[test]
